@@ -12,7 +12,6 @@ from .gate_solver import (
     BeamSplitter,
     CoefficientMatrix,
     GateSolution,
-    SearchConfig,
     bs_diagonal_element,
     build_coefficient_matrix,
     cofactors,
@@ -40,7 +39,6 @@ __all__ = [
     "BeamSplitter",
     "CoefficientMatrix",
     "GateSolution",
-    "SearchConfig",
     "bs_diagonal_element",
     "build_coefficient_matrix",
     "cofactors",

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .determinants import NodeSet, dense_det, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
 from .fock_oracle import FACTORIAL_CAP, SignalState, apply_gate, fidelity, target_state
-from .gate_solver import PRECISION_CAP, SearchConfig
+from .gate_solver import BISECT_TOL, DEDUPE_TOL, DET_TOL, GRID_POINTS, T_EXCLUDE
 from .optimizer import scan_nodes, sweep
 from .polynomials import (
     gapped_binomial_expand,
@@ -51,6 +50,7 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, inside main
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nssgate-")
@@ -64,18 +64,19 @@ def _emit(text: str, out_path):
         raise
 
 
-def _envelope(command: str, seed: int, cfg: SearchConfig, payload: dict) -> dict:
+def _envelope(command: str, seed: int, payload: dict) -> dict:
     art = {
-        "schema": 1,
+        "schema": 2,
         "version": __version__,
         "command": command,
         "seed": seed,
+        "search": {"grid_points": GRID_POINTS, "t_exclude": T_EXCLUDE},
         "tolerances": {
-            "det_tol": cfg.det_tol,
-            "bisect_tol": cfg.bisect_tol,
+            "bisect_tol": BISECT_TOL,
+            "dedupe_tol": DEDUPE_TOL,
+            "det_tol": DET_TOL,
             "identity_tol": IDENTITY_TOL,
         },
-        "config": asdict(cfg),
     }
     art.update(payload)
     return art
@@ -94,7 +95,6 @@ def _parse_nodes(text: str) -> NodeSet:
 
 
 def cmd_solve(args) -> int:
-    cfg = SearchConfig(complex_search=args.complex_search)
     if args.nodes is not None:
         nodes = _parse_nodes(args.nodes)
         if len(nodes) != args.n:
@@ -102,22 +102,19 @@ def cmd_solve(args) -> int:
             return 1
     else:
         nodes = NodeSet.minimal(args.n)
-    if args.n > PRECISION_CAP:
-        print(f"error: N={args.n} exceeds the double-precision cap {PRECISION_CAP}", file=sys.stderr)
-        return 1
-    report = scan_nodes(nodes, cfg)
+    report = scan_nodes(nodes)
     if report.best is None:
-        payload = _envelope("solve", args.seed, cfg, {"scan": report.to_dict(), "solution": None})
+        payload = _envelope("solve", args.seed, {"scan": report.to_dict(), "solution": None})
         _emit(_json_dump(payload), args.out)
         return 2
     sol = report.best.solution
     solution = {
         "N": sol.N,
         "nodes": list(sol.nodes),
-        "T_re": complex(sol.T).real,
-        "T_im": complex(sol.T).imag,
+        "T_re": sol.T,
+        "T_im": 0.0,
         "p": sol.p,
-        "alphas": [[complex(a).real, complex(a).imag] for a in sol.alphas],
+        "alphas": [[float(a), 0.0] for a in sol.alphas],
         "gammas": list(sol.gammas),
         "det_residual": sol.det_residual,
         "row_used": sol.row_used,
@@ -127,37 +124,30 @@ def cmd_solve(args) -> int:
         lines.append(
             ",".join(
                 [str(sol.N)]
-                + [_fmt(v) for v in (complex(sol.T).real, complex(sol.T).imag, sol.p, sol.det_residual)]
+                + [_fmt(v) for v in (sol.T, 0.0, sol.p, sol.det_residual)]
             )
         )
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(_envelope("solve", args.seed, cfg, {"scan": report.to_dict(), "solution": solution})), args.out)
+        _emit(_json_dump(_envelope("solve", args.seed, {"scan": report.to_dict(), "solution": solution})), args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if args.n_min < 1 or args.n_min > args.n_max:
-        print("error: need 1 <= n-min <= n-max", file=sys.stderr)
-        return 1
-    if args.n_max > PRECISION_CAP:
-        print(f"error: n-max exceeds the double-precision cap {PRECISION_CAP}", file=sys.stderr)
-        return 1
-    cfg = SearchConfig()
-    rows = sweep(args.n_min, args.n_max, search=cfg)
+    rows = sweep(args.n_min, args.n_max)
     if args.format == "csv":
         lines = ["N,T,p,residual"]
         for r in rows:
-            lines.append(",".join([str(r.N), _fmt(complex(r.T).real), _fmt(r.p), _fmt(r.det_residual)]))
+            lines.append(",".join([str(r.N), _fmt(r.T), _fmt(r.p), _fmt(r.det_residual)]))
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {
             "rows": [
-                {"N": r.N, "T_re": complex(r.T).real, "T_im": complex(r.T).imag, "p": r.p, "residual": r.det_residual}
+                {"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p, "residual": r.det_residual}
                 for r in rows
             ]
         }
-        _emit(_json_dump(_envelope("sweep", args.seed, cfg, payload)), args.out)
+        _emit(_json_dump(_envelope("sweep", args.seed, payload)), args.out)
     return 0
 
 
@@ -169,11 +159,7 @@ def cmd_verify(args) -> int:
     if 2 * N - 1 > FACTORIAL_CAP:
         print(f"error: N={N} needs photon sectors beyond the cap {FACTORIAL_CAP}", file=sys.stderr)
         return 1
-    if N > PRECISION_CAP:
-        print(f"error: N={N} exceeds the double-precision cap {PRECISION_CAP}", file=sys.stderr)
-        return 1
-    cfg = SearchConfig()
-    report = scan_nodes(NodeSet.minimal(N), cfg)
+    report = scan_nodes(NodeSet.minimal(N))
     if report.best is None:
         print("error: no gate found", file=sys.stderr)
         return 2
@@ -192,12 +178,12 @@ def cmd_verify(args) -> int:
     payload = {
         "N": N,
         "trials": args.trials,
-        "T_re": complex(sol.T).real,
+        "T_re": sol.T,
         "max_fidelity_error": max_fid_err,
         "max_prob_error": max_p_err,
         "pass": ok,
     }
-    _emit(_json_dump(_envelope("verify", args.seed, cfg, payload)), args.out)
+    _emit(_json_dump(_envelope("verify", args.seed, payload)), args.out)
     return 0 if ok else 3
 
 
@@ -331,7 +317,7 @@ def cmd_identities(args) -> int:
         report[name] = res
         all_ok = all_ok and all(r["pass"] for r in res)
     payload = {"suites": report, "pass": all_ok}
-    _emit(_json_dump(_envelope("identities", args.seed, SearchConfig(), payload)), args.out)
+    _emit(_json_dump(_envelope("identities", args.seed, payload)), args.out)
     return 0 if all_ok else 3
 
 
@@ -347,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the gate for one node set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nodes", default=None, help="comma-separated photon numbers (default 0..N-1)")
-    p.add_argument("--complex-search", action="store_true", help="also scan complex T (slow)")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -379,6 +364,13 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout closed early: send the interpreter's final flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed before the result was written", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,8 @@ with A_l the cofactors of the chosen row.  For the minimal photon numbers
 {0..N-1} everything is known in closed form: det(a) =
 (T^2-1)^{N(N-1)/2} [2-(1-T)^N], the root T = 1-2^{1/N}, and p = 1/N^2.
 
+T is real throughout; a complex T raises ValueError.
+
 Matrix rows are indexed k = 1..N but stored 0-based, so row index kk
 corresponds to photon level k = kk+1 and a2[kk, l] is the beam-splitter
 diagonal element for photon level kk.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "AncillaSpec",
     "CoefficientMatrix",
     "GateSolution",
-    "SearchConfig",
     "DegenerateSystemError",
     "bs_diagonal_element",
     "bs_diagonal_element_exact",
@@ -50,6 +51,13 @@ __all__ = [
 # double precision runs out of dynamic range in (T^2-1)^{N(N-1)} around here
 PRECISION_CAP = 14
 
+# root search of find_transmission
+GRID_POINTS = 2000
+T_EXCLUDE = 1e-6  # half-width of the excluded band around T = 0
+BISECT_TOL = 1e-13
+DET_TOL = 1e-10  # |det| <= DET_TOL * |T^2-1|^{N(N-1)/2}
+DEDUPE_TOL = 1e-9
+
 
 class DegenerateSystemError(ValueError):
     """Raised when the coefficient matrix has a null space of dimension > 1
@@ -58,7 +66,10 @@ class DegenerateSystemError(ValueError):
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Active beam splitter with (possibly complex) transmission T."""
+    """Active beam splitter with transmission T.
+
+    Complex T serves the Fock oracle's sector unitaries; the solver functions
+    here take real T only."""
 
     T: complex
 
@@ -100,44 +111,47 @@ class AncillaSpec:
         return len(self.nodes)
 
 
-def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> complex:
-    """Fock-diagonal beam-splitter amplitude <k, n| U |k, n>.
+def _real_transmission(bs: BeamSplitter) -> float:
+    T = complex(bs.T)
+    if T.imag != 0.0:
+        raise ValueError("the solver takes real T only")
+    return T.real
 
-    Equal to (T*)^{n-k} P_k^{(0,n-k)}(2|T|^2-1), but evaluated through the
-    fused combinatorial sum
 
-        sum_j (-1)^j C(k,j) C(n,j) T^{k-j} (T*)^{n-j} (1-|T|^2)^j
+def _fused_sum(k: int, n: int, t, u):
+    """sum_j (-1)^j C(k,j) C(n,j) t^{k+n-2j} u^j, with u = 1 - t^2.
+
+    The accumulator starts at the int 0, so the type of t picks the
+    arithmetic: a float, a numpy array of grid points, or a Fraction.
+    """
+    total = 0
+    for j in range(min(k, n) + 1):
+        total += (-1) ** j * math.comb(k, j) * math.comb(n, j) * t ** (k + n - 2 * j) * u**j
+    return total
+
+
+def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
+    """Fock-diagonal beam-splitter amplitude <k, n| U |k, n> for real T.
+
+    Equal to T^{n-k} P_k^{(0,n-k)}(2T^2-1), but evaluated through the fused
+    combinatorial sum
+
+        sum_j (-1)^j C(k,j) C(n,j) T^{k+n-2j} (1-T^2)^j
 
     which avoids the severe cancellation of the power-times-Jacobi route.
     """
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
-    T = complex(bs.T)
-    if T == 0 and n < k:
+    t = _real_transmission(bs)
+    if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
-    if T.imag == 0.0:
-        t = T.real
-        u = 1.0 - t * t
-        total = 0.0
-        for j in range(min(k, n) + 1):
-            total += (-1) ** j * math.comb(k, j) * math.comb(n, j) * t ** (k + n - 2 * j) * u**j
-        return total
-    tc = T.conjugate()
-    u = 1.0 - abs(T) ** 2
-    total = 0.0 + 0.0j
-    for j in range(min(k, n) + 1):
-        total += (-1) ** j * math.comb(k, j) * math.comb(n, j) * T ** (k - j) * tc ** (n - j) * u**j
-    return total
+    return _fused_sum(k, n, t, 1.0 - t * t)
 
 
 def bs_diagonal_element_exact(k: int, n: int, T) -> Fraction:
-    """Exact-rational version of bs_diagonal_element for real T."""
+    """Exact-rational version of bs_diagonal_element."""
     t = Fraction(T)
-    u = 1 - t * t
-    total = Fraction(0)
-    for j in range(min(k, n) + 1):
-        total += (-1) ** j * math.comb(k, j) * math.comb(n, j) * t ** (k + n - 2 * j) * u**j
-    return total
+    return _fused_sum(k, n, t, 1 - t * t)
 
 
 @dataclass(frozen=True)
@@ -161,19 +175,17 @@ class CoefficientMatrix:
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> CoefficientMatrix:
     """Assemble a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] = <kk, n_l|U|kk, n_l>
     for stored row index kk = 0..N-1 (photon level k-1 of the 1-based row k)."""
-    if complex(bs.T) == 0:
+    t = _real_transmission(bs)
+    if t == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
+    u = 1.0 - t * t
     N = len(nodes)
-    real = bs.is_real
-    dtype = np.float64 if real else np.complex128
-    a1 = np.empty((N, N), dtype=dtype)
-    a2 = np.empty((N, N), dtype=dtype)
+    a1 = np.empty((N, N))
+    a2 = np.empty((N, N))
     for l, n in enumerate(nodes):
-        top = bs_diagonal_element(N, n, bs)
-        a1[:, l] = top.real if real else top
+        a1[:, l] = _fused_sum(N, n, t, u)
         for kk in range(N):
-            el = bs_diagonal_element(kk, n, bs)
-            a2[kk, l] = el.real if real else el
+            a2[kk, l] = _fused_sum(kk, n, t, u)
     return CoefficientMatrix(nodes=nodes, bs=bs, a1=a1, a2=a2)
 
 
@@ -195,59 +207,15 @@ def optimal_transmission(N: int) -> float:
     return 1.0 - 2.0 ** (1.0 / N)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Root-search parameters for find_transmission."""
-
-    grid_points: int = 2000
-    t_exclude: float = 1e-6  # half-width of the excluded band around T = 0
-    bisect_tol: float = 1e-13
-    det_tol: float = 1e-10  # |det| <= det_tol * |T^2-1|^{N(N-1)/2}
-    dedupe_tol: float = 1e-9
-    complex_search: bool = False
-    complex_grid_points: int = 61
-    newton_iters: int = 50
-
-
-def _element_tables(nodes: NodeSet):
-    """Per-entry (coef, power-of-T, power-of-(1-T^2)) tables for vectorized builds."""
-    N = len(nodes)
-    tables = []
-    for kk in range(N):
-        row = []
-        for n in nodes:
-            terms = [
-                ((-1) ** j * math.comb(kk, j) * math.comb(n, j), kk + n - 2 * j, j)
-                for j in range(min(kk, n) + 1)
-            ]
-            row.append(terms)
-        tables.append(row)
-    top = []
-    for n in nodes:
-        top.append(
-            [
-                ((-1) ** j * math.comb(N, j) * math.comb(n, j), N + n - 2 * j, j)
-                for j in range(min(N, n) + 1)
-            ]
-        )
-    return tables, top
-
-
 def _grid_determinants(nodes: NodeSet, ts: np.ndarray) -> np.ndarray:
     """det(a(T)) for a whole grid of real T at once."""
     N = len(nodes)
-    tables, top = _element_tables(nodes)
     us = 1.0 - ts * ts
-    a = np.zeros((len(ts), N, N))
-    for l in range(N):
-        col1 = np.zeros_like(ts)
-        for coef, e, j in top[l]:
-            col1 += coef * ts**e * us**j
+    a = np.empty((len(ts), N, N))
+    for l, n in enumerate(nodes):
+        top = _fused_sum(N, n, ts, us)
         for kk in range(N):
-            acc = np.zeros_like(ts)
-            for coef, e, j in tables[kk][l]:
-                acc += coef * ts**e * us**j
-            a[:, kk, l] = acc + col1
+            a[:, kk, l] = _fused_sum(kk, n, ts, us) + top
     return np.linalg.det(a)
 
 
@@ -256,35 +224,33 @@ def _det_at(nodes: NodeSet, T: float) -> float:
     return float(dense_det(m.matrix))
 
 
-def _bisect_root(nodes: NodeSet, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    while hi - lo > tol:
+def _bisect_root(nodes: NodeSet, lo: float, hi: float, flo: float) -> float:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = _det_at(nodes, mid)
         if fmid == 0.0:
             return mid
         if (flo < 0) != (fmid < 0):
-            hi, fhi = mid, fmid
+            hi = mid
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
 
 
-def _residual_scale(N: int, T: complex) -> float:
+def _residual_scale(N: int, T: float) -> float:
     return abs(T * T - 1.0) ** (N * (N - 1) / 2.0) if N > 1 else 1.0
 
 
-def find_transmission(nodes: NodeSet, search: Optional[SearchConfig] = None) -> list:
+def find_transmission(nodes: NodeSet) -> list:
     """Real roots of det(a(T)) on (-1, 0) u (0, 1), plus the endpoints T = +-1.
 
     Grid scan for sign changes, bisection refinement, then a residual gate
-    |det| <= det_tol * |T^2-1|^{N(N-1)/2}.  With search.complex_search the
-    list also carries complex roots from a 2D grid + Newton polish.
+    |det| <= DET_TOL * |T^2-1|^{N(N-1)/2}.
     """
-    cfg = search or SearchConfig()
     N = len(nodes)
-    half = cfg.grid_points // 2
-    left = np.linspace(-1.0 + 1e-9, -cfg.t_exclude, half)
-    right = np.linspace(cfg.t_exclude, 1.0 - 1e-9, cfg.grid_points - half)
+    half = GRID_POINTS // 2
+    left = np.linspace(-1.0 + 1e-9, -T_EXCLUDE, half)
+    right = np.linspace(T_EXCLUDE, 1.0 - 1e-9, GRID_POINTS - half)
     roots: list = []
     for ts in (left, right):
         dets = _grid_determinants(nodes, ts)
@@ -294,70 +260,21 @@ def find_transmission(nodes: NodeSet, search: Optional[SearchConfig] = None) -> 
                 if 1.0 - abs(ts[i]) > 1e-6:  # exact zeros hugging |T|=1 are underflow; the
                     roots.append(float(ts[i]))  # endpoints are handled separately below
             elif (f0 < 0) != (f1 < 0):
-                roots.append(_bisect_root(nodes, float(ts[i]), float(ts[i + 1]), f0, f1, cfg.bisect_tol))
+                roots.append(_bisect_root(nodes, float(ts[i]), float(ts[i + 1]), f0))
         if dets[-1] == 0.0 and 1.0 - abs(ts[-1]) > 1e-6:
             roots.append(float(ts[-1]))
     # endpoint candidates: |T| = 1 makes every off-balance term vanish
     for t_end in (-1.0, 1.0):
-        if abs(_det_at(nodes, t_end)) <= cfg.det_tol * _residual_scale(N, t_end):
+        if abs(_det_at(nodes, t_end)) <= DET_TOL * _residual_scale(N, t_end):
             roots.append(t_end)
     good = []
     for t in sorted(roots):
-        if abs(_det_at(nodes, t)) > cfg.det_tol * max(_residual_scale(N, t), 1e-300):
+        if abs(_det_at(nodes, t)) > DET_TOL * max(_residual_scale(N, t), 1e-300):
             continue
-        if good and abs(t - good[-1]) <= cfg.dedupe_tol:
+        if good and abs(t - good[-1]) <= DEDUPE_TOL:
             continue
         good.append(t)
-    if cfg.complex_search:
-        good.extend(_complex_roots(nodes, cfg, good))
     return good
-
-
-def _complex_roots(nodes: NodeSet, cfg: SearchConfig, real_roots: Sequence[float]) -> list:
-    """Flag-gated 2D search; the matrix depends on both T and T*, so the
-    refinement is a real 2-variable Newton on (Re det, Im det)."""
-    N = len(nodes)
-
-    def det_c(T: complex) -> complex:
-        m = build_coefficient_matrix(nodes, BeamSplitter(T))
-        return complex(dense_det(m.matrix))
-
-    g = cfg.complex_grid_points
-    res, ims = np.linspace(-0.98, 0.98, g), np.linspace(-0.98, 0.98, g)
-    found = []
-    vals = np.empty((g, g))
-    for i, re in enumerate(res):
-        for j, im in enumerate(ims):
-            T = complex(re, im)
-            vals[i, j] = abs(det_c(T)) if 1e-3 < abs(T) < 0.999 else np.inf
-    # local minima as Newton seeds
-    for i in range(1, g - 1):
-        for j in range(1, g - 1):
-            v = vals[i, j]
-            if not np.isfinite(v) or v > vals[i - 1 : i + 2, j - 1 : j + 2].min():
-                continue
-            T = complex(res[i], ims[j])
-            h = 1e-7
-            for _ in range(cfg.newton_iters):
-                f = det_c(T)
-                fx = (det_c(T + h) - det_c(T - h)) / (2 * h)
-                fy = (det_c(T + 1j * h) - det_c(T - 1j * h)) / (2 * h)
-                jac = np.array([[fx.real, fy.real], [fx.imag, fy.imag]])
-                try:
-                    step = np.linalg.solve(jac, [f.real, f.imag])
-                except np.linalg.LinAlgError:
-                    break
-                T = complex(T.real - step[0], T.imag - step[1])
-                if abs(complex(step[0], step[1])) < 1e-14:
-                    break
-            if abs(T) >= 1.0 or abs(T.imag) < 1e-8:
-                continue
-            if abs(det_c(T)) > cfg.det_tol * max(_residual_scale(N, T), 1e-300):
-                continue
-            if any(abs(T - w) <= 1e-6 for w in found):
-                continue
-            found.append(T)
-    return found
 
 
 def cofactors(matrix, row: int, method: str = "adjugate"):
@@ -365,12 +282,14 @@ def cofactors(matrix, row: int, method: str = "adjugate"):
 
     method "adjugate": SVD-based adjugate, robust when det(a) ~ 0;
     method "minors":   signed minors via dense_det;
-    method "exact":    signed minors in rational arithmetic (real entries).
+    method "exact":    signed minors in rational arithmetic.
     """
     a = matrix.matrix if isinstance(matrix, CoefficientMatrix) else np.asarray(matrix)
     N = a.shape[0]
     if a.shape != (N, N):
         raise ValueError("matrix must be square")
+    if np.iscomplexobj(a):
+        raise ValueError("cofactors takes a real matrix")
     if not 0 <= row < N:
         raise ValueError("row out of range")
     if N == 1:
@@ -382,7 +301,7 @@ def cofactors(matrix, row: int, method: str = "adjugate"):
             minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
             out.append((-1) ** (row + l) * float(exact_det(minor)))
         return np.array(out)
-    if method == "minors" or np.iscomplexobj(a):
+    if method == "minors":
         out = []
         for l in range(N):
             keep_r = [i for i in range(N) if i != row]
@@ -435,7 +354,7 @@ class GateSolution:
     """Fully solved gate: weights, probability and diagnostics."""
 
     N: int
-    T: complex
+    T: float
     nodes: NodeSet
     alphas: tuple
     gammas: tuple
@@ -466,32 +385,24 @@ def success_probability(matrix: CoefficientMatrix, row: Optional[int] = None) ->
     u, s, vt = np.linalg.svd(a)
     if N >= 2 and s[0] > 0 and s[-2] <= 1e-12 * s[0]:
         raise DegenerateSystemError("null space dimension exceeds 1")
-    v = vt[-1].conj()  # right null vector: a @ v ~ 0
+    v = vt[-1]  # right null vector: a @ v ~ 0
     cof = cofactors(matrix, k)
     if float(np.max(np.abs(cof))) == 0.0:
         raise DegenerateSystemError("all cofactors vanish")
-    # align the null vector's global phase with the cofactor row
-    dot = np.vdot(cof, v)
-    if abs(dot) > 0:
-        if np.iscomplexobj(a):
-            v = v * (dot / abs(dot)).conjugate()
-        elif dot.real < 0:
-            v = -v
+    # align the null vector's sign with the cofactor row
+    if np.vdot(cof, v) < 0:
+        v = -v
     total = float(np.sum(np.abs(v)))
     num = np.sum(v * matrix.a2[k])
     p = float(abs(num) ** 2 / total**2)
     p = min(max(p, 0.0), 1.0)
     mags = np.sqrt(np.abs(v) / total)
-    if np.iscomplexobj(a):
-        phases = np.where(np.abs(v) > 0, v / np.where(np.abs(v) > 0, np.abs(v), 1.0), 1.0)
-        alphas = tuple(phases * mags)
-    else:
-        alphas = tuple(np.sign(v) * mags)
+    alphas = tuple(np.sign(v) * mags)
     gammas = tuple(float(m) for m in mags)
     residual = abs(dense_det(a))
     return GateSolution(
         N=N,
-        T=complex(matrix.bs.T),
+        T=_real_transmission(matrix.bs),
         nodes=matrix.nodes,
         alphas=alphas,
         gammas=gammas,

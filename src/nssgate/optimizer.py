@@ -7,8 +7,6 @@ root enumeration followed by evaluation, not gradient ascent.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,18 +16,17 @@ from .gate_solver import (
     BeamSplitter,
     DegenerateSystemError,
     GateSolution,
-    SearchConfig,
     build_coefficient_matrix,
     find_transmission,
     success_probability,
 )
 
-__all__ = ["ScanEntry", "ScanReport", "SweepRow", "scan_nodes", "sweep", "max_workers"]
+__all__ = ["ScanEntry", "ScanReport", "SweepRow", "scan_nodes", "sweep"]
 
 
 @dataclass(frozen=True)
 class ScanEntry:
-    T: complex
+    T: float
     p: float
     det_residual: float
     solution: GateSolution
@@ -38,36 +35,29 @@ class ScanEntry:
 @dataclass(frozen=True)
 class ScanReport:
     nodes: NodeSet
-    entries: tuple  # ScanEntry, ordered by T (real roots first, ascending)
+    entries: tuple  # ScanEntry, ordered by ascending T
     skipped: tuple  # (T, reason) for roots where the weights are undetermined
-    search: SearchConfig
     best: Optional[ScanEntry] = field(default=None)
 
     def to_dict(self) -> dict:
         d = {
             "nodes": list(self.nodes),
-            "entries": [
-                {"T_re": complex(e.T).real, "T_im": complex(e.T).imag, "p": e.p, "det_residual": e.det_residual}
-                for e in self.entries
-            ],
-            "skipped": [{"T_re": complex(t).real, "T_im": complex(t).imag, "reason": r} for t, r in self.skipped],
-            "search": {k: getattr(self.search, k) for k in self.search.__dataclass_fields__},
+            "entries": [{"T_re": e.T, "T_im": 0.0, "p": e.p, "det_residual": e.det_residual} for e in self.entries],
+            "skipped": [{"T_re": t, "T_im": 0.0, "reason": r} for t, r in self.skipped],
         }
         d["best"] = None
         if self.best is not None:
-            d["best"] = {"T_re": complex(self.best.T).real, "T_im": complex(self.best.T).imag, "p": self.best.p}
+            d["best"] = {"T_re": self.best.T, "T_im": 0.0, "p": self.best.p}
         return d
 
 
-def scan_nodes(nodes: NodeSet, search: Optional[SearchConfig] = None) -> ScanReport:
+def scan_nodes(nodes: NodeSet) -> ScanReport:
     """Enumerate the roots of det(a) for this node set and evaluate p at each."""
     if len(nodes) > PRECISION_CAP:
         raise ValueError(f"N={len(nodes)} exceeds the double-precision cap {PRECISION_CAP}")
-    cfg = search or SearchConfig()
-    roots = find_transmission(nodes, cfg)
     entries = []
     skipped = []
-    for t in roots:
+    for t in find_transmission(nodes):
         matrix = build_coefficient_matrix(nodes, BeamSplitter(t))
         try:
             sol = success_probability(matrix)
@@ -79,49 +69,26 @@ def scan_nodes(nodes: NodeSet, search: Optional[SearchConfig] = None) -> ScanRep
     for e in entries:
         if best is None or e.p > best.p:
             best = e
-    return ScanReport(nodes=nodes, entries=tuple(entries), skipped=tuple(skipped), search=cfg, best=best)
+    return ScanReport(nodes=nodes, entries=tuple(entries), skipped=tuple(skipped), best=best)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     N: int
-    T: complex
+    T: float
     p: float
     det_residual: float
 
 
-def max_workers() -> int:
-    """Parallelism cap: NSS_THREADS env var, else the CPU count."""
-    env = os.environ.get("NSS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def sweep(n_min: int, n_max: int, node_strategy: str = "minimal", search: Optional[SearchConfig] = None) -> list:
-    """Scaling table (N, best T, best p, residual) for N = n_min..n_max.
-
-    Independent N values run concurrently; the table is assembled in N order
-    so output is deterministic.
-    """
+def sweep(n_min: int, n_max: int) -> list:
+    """Scaling table (N, best T, best p, residual) for minimal nodes, N = n_min..n_max."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if n_max > PRECISION_CAP:
         raise ValueError(f"n_max exceeds the double-precision cap {PRECISION_CAP}")
-    if node_strategy != "minimal":
-        raise ValueError("only the 'minimal' node strategy is implemented")
-
-    def one(N: int) -> Optional[SweepRow]:
-        report = scan_nodes(NodeSet.minimal(N), search)
-        if report.best is None:
-            return None
-        e = report.best
-        return SweepRow(N=N, T=e.T, p=e.p, det_residual=e.det_residual)
-
-    ns = list(range(n_min, n_max + 1))
-    with ThreadPoolExecutor(max_workers=min(max_workers(), len(ns))) as pool:
-        rows = list(pool.map(one, ns))
-    return [r for r in rows if r is not None]
+    rows = []
+    for N in range(n_min, n_max + 1):
+        best = scan_nodes(NodeSet.minimal(N)).best
+        if best is not None:
+            rows.append(SweepRow(N=N, T=best.T, p=best.p, det_residual=best.det_residual))
+    return rows

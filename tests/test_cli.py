@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nssgate.cli import main
-from nssgate.determinants import NodeSet
-from nssgate.gate_solver import SearchConfig
 from nssgate.optimizer import ScanReport
+
+SEARCH_SETTINGS = ("grid_points", "t_exclude", "bisect_tol", "dedupe_tol", "det_tol", "identity_tol")
 
 
 def run(capsys, *argv):
@@ -20,8 +24,8 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 1
-        assert "version" in doc and "seed" in doc and "tolerances" in doc and "config" in doc
+        assert doc["schema"] == 2
+        assert "version" in doc and "seed" in doc and "tolerances" in doc and "search" in doc
         sol = doc["solution"]
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
         assert sol["p"] == pytest.approx(0.25, abs=1e-8)
@@ -63,8 +67,8 @@ class TestSolve:
         assert code == 1
 
     def test_no_root_exit_2(self, capsys, monkeypatch):
-        def empty_scan(nodes, cfg):
-            return ScanReport(nodes=nodes, entries=(), skipped=(), search=cfg or SearchConfig(), best=None)
+        def empty_scan(nodes):
+            return ScanReport(nodes=nodes, entries=(), skipped=(), best=None)
 
         monkeypatch.setattr("nssgate.cli.scan_nodes", empty_scan)
         code, out, _ = run(capsys, "solve", "--n", "2")
@@ -78,6 +82,57 @@ class TestSolve:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["solution"]["p"] == pytest.approx(0.25, abs=1e-8)
+
+    def test_precision_cap_exit_1(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "15")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cap" in err
+
+    def test_closed_stdout_exit_1(self):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nssgate.cli", "solve", "--n", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _key_counts(obj, counts):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            counts[k] = counts.get(k, 0) + 1
+            _key_counts(v, counts)
+    elif isinstance(obj, list):
+        for v in obj:
+            _key_counts(v, counts)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [("solve", "--n", "3"), ("sweep", "--n-min", "1", "--n-max", "3")])
+def test_envelope_holds_each_setting_once(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 2
+    counts = _key_counts(doc, {})
+    assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
+    assert "config" not in doc
+    if "scan" in doc:
+        assert "search" not in doc["scan"]
 
 
 class TestSweep:
@@ -101,6 +156,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n-min", "0", "--n-max", "3")
         assert code == 1
         assert "error" in err
+
+    def test_precision_cap_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n-min", "1", "--n-max", "15")
+        assert code == 1
+        assert out == ""
+        assert "cap" in err
 
 
 class TestVerify:

@@ -8,8 +8,8 @@ from nssgate.determinants import NodeSet, dense_det, exact_det
 from nssgate.gate_solver import (
     BeamSplitter,
     AncillaSpec,
+    DET_TOL,
     DegenerateSystemError,
-    SearchConfig,
     bs_diagonal_element,
     bs_diagonal_element_exact,
     build_coefficient_matrix,
@@ -59,10 +59,10 @@ class TestAncillaSpec:
 
 
 class TestDiagonalElement:
-    def test_k_zero_is_conjugate_power(self):
-        bs = BeamSplitter(0.5 - 0.2j)
+    def test_k_zero_is_power(self):
+        bs = BeamSplitter(-0.45)
         for n in range(6):
-            assert bs_diagonal_element(0, n, bs) == pytest.approx((0.5 + 0.2j) ** n)
+            assert bs_diagonal_element(0, n, bs) == pytest.approx((-0.45) ** n, rel=1e-14)
 
     def test_one_one(self):
         # <1,1|U|1,1> = 2T^2 - 1 for real T (transmitted-transmitted minus the
@@ -98,6 +98,10 @@ class TestDiagonalElement:
         with pytest.raises(ValueError):
             bs_diagonal_element(-1, 0, BeamSplitter(0.5))
 
+    def test_rejects_complex_transmission(self):
+        with pytest.raises(ValueError, match="real T"):
+            bs_diagonal_element(1, 2, BeamSplitter(0.5 - 0.2j))
+
 
 class TestCoefficientMatrix:
     def test_split_parts(self):
@@ -115,6 +119,10 @@ class TestCoefficientMatrix:
     def test_rejects_zero_transmission(self):
         with pytest.raises(ValueError):
             build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(0.0))
+
+    def test_rejects_complex_transmission(self):
+        with pytest.raises(ValueError, match="real T"):
+            build_coefficient_matrix(NodeSet.minimal(3), BeamSplitter(0.3 + 0.4j))
 
     def test_n1_singular_at_minus_one(self):
         m = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
@@ -221,15 +229,14 @@ class TestFindTransmission:
         assert abs(dense_det(m.matrix)) <= 1e-10
 
     def test_roots_sorted_and_validated(self):
-        cfg = SearchConfig()
         for nodes in (NodeSet.minimal(3), NodeSet((0, 2)), NodeSet((1, 2, 4))):
-            roots = find_transmission(nodes, cfg)
+            roots = find_transmission(nodes)
             assert roots == sorted(roots)
             N = len(nodes)
             for t in roots:
                 m = build_coefficient_matrix(nodes, BeamSplitter(t))
                 scale = abs(t * t - 1) ** (N * (N - 1) / 2) if N > 1 else 1.0
-                assert abs(dense_det(m.matrix)) <= cfg.det_tol * max(scale, 1e-300)
+                assert abs(dense_det(m.matrix)) <= DET_TOL * max(scale, 1e-300)
 
 
 class TestCofactors:
@@ -255,6 +262,10 @@ class TestCofactors:
             exc = cofactors(a, row, method="exact")
             assert np.allclose(adj, mnr, rtol=1e-9, atol=1e-12)
             assert np.allclose(mnr, exc, rtol=1e-9, atol=1e-12)
+
+    def test_rejects_complex_matrix(self):
+        with pytest.raises(ValueError):
+            cofactors(np.array([[1j, 0], [0, 2.0]]), 0)
 
     def test_laplace_expansion(self):
         # sum_l a[m, l] A[k, l] = delta_km det(a)
@@ -381,7 +392,7 @@ class TestClosedFormRatio:
             ratio = numerator_closed_form(N, t) ** 2 / denominator_closed_form(N, t)
             assert ratio == pytest.approx(1.0 / N**2, rel=1e-12)
 
-    def test_matches_numerics_up_to_row_convention_sign(self):
+    def test_a2_contraction_is_negated_closed_form(self):
         # the closed form is the a1 contraction sum_l a1[N-1,l] A_{N-1,l}; since
         # det(a) = 0 at the root, the a2 contraction is its negative; the
         # denominator agrees to machine precision

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from nssgate.determinants import NodeSet
-from nssgate.gate_solver import SearchConfig, optimal_transmission
-from nssgate.optimizer import max_workers, scan_nodes, sweep
+from nssgate.gate_solver import DET_TOL, optimal_transmission
+from nssgate.optimizer import scan_nodes, sweep
 
 
 def test_scan_minimal_two():
@@ -32,14 +32,13 @@ def test_scan_nonminimal_below_baseline():
 
 
 def test_scan_entries_validated_and_ordered():
-    cfg = SearchConfig()
-    report = scan_nodes(NodeSet.minimal(4), cfg)
+    report = scan_nodes(NodeSet.minimal(4))
     ts = [complex(e.T).real for e in report.entries]
     assert ts == sorted(ts)
     for e in report.entries:
         N = 4
         scale = abs(complex(e.T) ** 2 - 1) ** (N * (N - 1) / 2)
-        assert e.det_residual <= cfg.det_tol * max(scale, 1e-300) or e.det_residual == 0.0
+        assert e.det_residual <= DET_TOL * max(scale, 1e-300) or e.det_residual == 0.0
     assert report.best.p == max(e.p for e in report.entries)
 
 
@@ -83,12 +82,3 @@ def test_sweep_validation():
         sweep(3, 2)
     with pytest.raises(ValueError):
         sweep(1, 99)
-    with pytest.raises(ValueError):
-        sweep(1, 2, node_strategy="maximal")
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("NSS_THREADS", "1")
-    assert max_workers() == 1
-    monkeypatch.setenv("NSS_THREADS", "junk")
-    assert max_workers() >= 1
