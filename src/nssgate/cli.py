@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .determinants import NodeSet, dense_det, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
 from .fock_oracle import FACTORIAL_CAP, SignalState, apply_gate, fidelity, target_state
-from .gate_solver import BISECT_TOL, DEDUPE_TOL, DET_TOL, GRID_POINTS, T_EXCLUDE
+from .gate_solver import BISECT_TOL, DEDUPE_TOL, GRID_POINTS, T_EXCLUDE
 from .optimizer import scan_nodes, sweep
 from .polynomials import (
     gapped_binomial_expand,
@@ -66,7 +66,7 @@ def _emit(text: str, out_path):
 
 def _envelope(command: str, seed: int, payload: dict) -> dict:
     art = {
-        "schema": 2,
+        "schema": 3,
         "version": __version__,
         "command": command,
         "seed": seed,
@@ -74,7 +74,6 @@ def _envelope(command: str, seed: int, payload: dict) -> dict:
         "tolerances": {
             "bisect_tol": BISECT_TOL,
             "dedupe_tol": DEDUPE_TOL,
-            "det_tol": DET_TOL,
             "identity_tol": IDENTITY_TOL,
         },
     }

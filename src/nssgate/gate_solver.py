@@ -10,6 +10,12 @@ with A_l the cofactors of the chosen row.  For the minimal photon numbers
 {0..N-1} everything is known in closed form: det(a) =
 (T^2-1)^{N(N-1)/2} [2-(1-T)^N], the root T = 1-2^{1/N}, and p = 1/N^2.
 
+For any node set det(a) = det(a2) P(T) / T^N, with P a polynomial of degree
+2N with exact rational coefficients (`secular_polynomial`).  The gate
+transmissions are found as the real roots of P, each certified by an exact
+sign change, not from float determinants, whose true size
+(T^2-1)^{N(N-1)/2} lies below their roundoff.
+
 T is real throughout; a complex T raises ValueError.
 
 Matrix rows are indexed k = 1..N but stored 0-based, so row index kk
@@ -40,6 +46,7 @@ __all__ = [
     "coefficient_matrix_exact",
     "det_closed_form",
     "optimal_transmission",
+    "secular_polynomial",
     "find_transmission",
     "cofactors",
     "cofactor_closed_form",
@@ -48,14 +55,14 @@ __all__ = [
     "denominator_closed_form",
 ]
 
-# double precision runs out of dynamic range in (T^2-1)^{N(N-1)} around here
+# the root search does not need this cap; success_probability and the Fock
+# oracle are tested up to it
 PRECISION_CAP = 14
 
 # root search of find_transmission
 GRID_POINTS = 2000
 T_EXCLUDE = 1e-6  # half-width of the excluded band around T = 0
 BISECT_TOL = 1e-13
-DET_TOL = 1e-10  # |det| <= DET_TOL * |T^2-1|^{N(N-1)/2}
 DEDUPE_TOL = 1e-9
 
 
@@ -122,7 +129,7 @@ def _fused_sum(k: int, n: int, t, u):
     """sum_j (-1)^j C(k,j) C(n,j) t^{k+n-2j} u^j, with u = 1 - t^2.
 
     The accumulator starts at the int 0, so the type of t picks the
-    arithmetic: a float, a numpy array of grid points, or a Fraction.
+    arithmetic: a float or a Fraction.
     """
     total = 0
     for j in range(min(k, n) + 1):
@@ -207,73 +214,89 @@ def optimal_transmission(N: int) -> float:
     return 1.0 - 2.0 ** (1.0 / N)
 
 
-def _grid_determinants(nodes: NodeSet, ts: np.ndarray) -> np.ndarray:
-    """det(a(T)) for a whole grid of real T at once."""
+def _polymul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def secular_polynomial(nodes: NodeSet) -> list:
+    """Integer coefficients, lowest power first, of N! P(t), where
+
+        det(a1 + a2) = det(a2) P(t) / t^N,
+        P(t) = t^N [2 - (1-t)^N] + (t-1)^N (t+1) sum_j z_j (-t)^j (1+t)^{N-1-j}.
+
+    a2 = D_t^{-1} B(t) C' D_n with C'[j, l] = C(n_l, j) (j = 0..N-1) and B a
+    scaled Pascal matrix, and a1 = 1 f^T is rank one, so the matrix-determinant
+    lemma gives det(a) = det(a2) (1 + f^T a2^{-1} 1).  z solves C'^T z = h with
+    h_l = C(n_l, N): q(x) = sum_j z_j C(x, j) interpolates C(x, N) on the nodes,
+    so q(x) = C(x, N) - prod_l (x - n_l) / N!, and z_j is the j-th forward
+    difference of q at 0.  z = 0 for the minimal nodes, where P is the paper's
+    t^N [2 - (1-t)^N].  det(a2) vanishes only at T = +-1, which P leaves out.
+    """
     N = len(nodes)
-    us = 1.0 - ts * ts
-    a = np.empty((len(ts), N, N))
-    for l, n in enumerate(nodes):
-        top = _fused_sum(N, n, ts, us)
-        for kk in range(N):
-            a[:, kk, l] = _fused_sum(kk, n, ts, us) + top
-    return np.linalg.det(a)
+    q = [-math.prod(i - n for n in nodes) for i in range(N)]  # N! q(i) for i < N
+    z = [sum((-1) ** (j - i) * math.comb(j, i) * q[i] for i in range(j + 1)) for j in range(N)]  # N! z_j
+    zsum = [sum((-1) ** j * z[j] * math.comb(N - 1 - j, i - j) for j in range(i + 1)) for i in range(N)]
+    t_minus_1 = [math.comb(N, i) * (-1) ** (N - i) for i in range(N + 1)]  # (t-1)^N
+    tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
+    head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
+    return [h + c for h, c in zip(head, tail)]
 
 
-def _det_at(nodes: NodeSet, T: float) -> float:
-    m = build_coefficient_matrix(nodes, BeamSplitter(T))
-    return float(dense_det(m.matrix))
+def _exact_sign(coeffs: list, t: float) -> int:
+    """Sign of the integer polynomial at the float t, in exact arithmetic."""
+    m, q = t.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(coeffs):  # acc = q^d P(m/q) at the end, and q > 0
+        acc = acc * m + c * scale
+        scale *= q
+    return (acc > 0) - (acc < 0)
 
 
-def _bisect_root(nodes: NodeSet, lo: float, hi: float, flo: float) -> float:
+def _bisect_root(coeffs: list, lo: float, hi: float, slo: int) -> float:
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        fmid = _det_at(nodes, mid)
-        if fmid == 0.0:
+        smid = _exact_sign(coeffs, mid)
+        if smid == 0:
             return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
+        if smid == slo:
+            lo = mid
         else:
-            lo, flo = mid, fmid
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def _residual_scale(N: int, T: float) -> float:
-    return abs(T * T - 1.0) ** (N * (N - 1) / 2.0) if N > 1 else 1.0
-
-
 def find_transmission(nodes: NodeSet) -> list:
-    """Real roots of det(a(T)) on (-1, 0) u (0, 1), plus the endpoints T = +-1.
+    """Real roots of det(a(T)) on [-1, -T_EXCLUDE] u [T_EXCLUDE, 1], ascending.
 
-    Grid scan for sign changes, bisection refinement, then a residual gate
-    |det| <= DET_TOL * |T^2-1|^{N(N-1)/2}.
+    The roots are those of the secular polynomial P (`secular_polynomial`),
+    so T = +-1, where det(a2) vanishes with det(a), are roots only if P
+    vanishes there, as it does at T = -1 for N = 1.  P is scanned in floats on
+    GRID_POINTS points; each float sign change must also be an exact sign
+    change of P between the two grid points, and is then bisected to
+    BISECT_TOL with every sign taken in exact arithmetic.  Every root
+    returned is so certified by an exact sign change (or exact zero) of P.
     """
-    N = len(nodes)
+    coeffs = secular_polynomial(nodes)
+    desc = np.array(coeffs[::-1], dtype=float)
     half = GRID_POINTS // 2
-    left = np.linspace(-1.0 + 1e-9, -T_EXCLUDE, half)
-    right = np.linspace(T_EXCLUDE, 1.0 - 1e-9, GRID_POINTS - half)
     roots: list = []
-    for ts in (left, right):
-        dets = _grid_determinants(nodes, ts)
-        for i in range(len(ts) - 1):
-            f0, f1 = dets[i], dets[i + 1]
-            if f0 == 0.0:
-                if 1.0 - abs(ts[i]) > 1e-6:  # exact zeros hugging |T|=1 are underflow; the
-                    roots.append(float(ts[i]))  # endpoints are handled separately below
-            elif (f0 < 0) != (f1 < 0):
-                roots.append(_bisect_root(nodes, float(ts[i]), float(ts[i + 1]), f0))
-        if dets[-1] == 0.0 and 1.0 - abs(ts[-1]) > 1e-6:
-            roots.append(float(ts[-1]))
-    # endpoint candidates: |T| = 1 makes every off-balance term vanish
-    for t_end in (-1.0, 1.0):
-        if abs(_det_at(nodes, t_end)) <= DET_TOL * _residual_scale(N, t_end):
-            roots.append(t_end)
+    for ts in (np.linspace(-1.0, -T_EXCLUDE, half), np.linspace(T_EXCLUDE, 1.0, GRID_POINTS - half)):
+        neg = np.polyval(desc, ts) < 0
+        for i in np.flatnonzero(neg[:-1] != neg[1:]):
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            slo, shi = _exact_sign(coeffs, lo), _exact_sign(coeffs, hi)
+            if slo == 0 or shi == 0:
+                roots += [t for t, s in ((lo, slo), (hi, shi)) if s == 0]
+            elif slo != shi:
+                roots.append(_bisect_root(coeffs, lo, hi, slo))
     good = []
     for t in sorted(roots):
-        if abs(_det_at(nodes, t)) > DET_TOL * max(_residual_scale(N, t), 1e-300):
-            continue
-        if good and abs(t - good[-1]) <= DEDUPE_TOL:
-            continue
-        good.append(t)
+        if not good or t - good[-1] > DEDUPE_TOL:
+            good.append(t)
     return good
 
 

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nssgate.cli import main
+from nssgate.determinants import NodeSet
+from nssgate.fock_oracle import SignalState, apply_gate, fidelity, target_state
+from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import ScanReport
 
-SEARCH_SETTINGS = ("grid_points", "t_exclude", "bisect_tol", "dedupe_tol", "det_tol", "identity_tol")
+SEARCH_SETTINGS = ("grid_points", "t_exclude", "bisect_tol", "dedupe_tol", "identity_tol")
 
 
 def run(capsys, *argv):
@@ -24,12 +28,46 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert "version" in doc and "seed" in doc and "tolerances" in doc and "search" in doc
         sol = doc["solution"]
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
         assert sol["p"] == pytest.approx(0.25, abs=1e-8)
         assert len(sol["alphas"]) == 2 and len(sol["gammas"]) == 2
+
+    def test_n2_lists_only_the_gate(self, capsys):
+        # T = +-1 are roots of det(a) for N >= 2 only through det(a2); they are not gates
+        code, out, _ = run(capsys, "solve", "--n", "2")
+        assert code == 0
+        scan = json.loads(out)["scan"]
+        (entry,) = scan["entries"]
+        assert entry["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-12)
+        assert entry["p"] == pytest.approx(0.25, abs=1e-12)
+        assert scan["skipped"] == []
+
+    def test_gapped_nodes_gate_passes_fock_oracle(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "9", "--nodes", "0,4,6,7,8,9,12,14,16")
+        assert code == 0
+        s = json.loads(out)["solution"]
+        assert 0.69 <= s["T_re"] <= 0.695
+        sol = GateSolution(
+            N=s["N"],
+            T=s["T_re"],
+            nodes=NodeSet(tuple(s["nodes"])),
+            alphas=tuple(re for re, _ in s["alphas"]),
+            gammas=tuple(s["gammas"]),
+            p=s["p"],
+            cofactors=(),
+            det_residual=s["det_residual"],
+            row_used=s["row_used"],
+        )
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            c = rng.normal(size=10) + 1j * rng.normal(size=10)
+            signal = SignalState(tuple(c / np.linalg.norm(c)))
+            out_state, prob, _ = apply_gate(signal, sol, full=True)
+            assert 1.0 - fidelity(out_state, target_state(signal)) <= 1e-8
+            assert prob == pytest.approx(s["p"], rel=1e-8)
 
     def test_n1(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "1")
@@ -127,7 +165,7 @@ def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
     assert "config" not in doc

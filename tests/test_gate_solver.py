@@ -6,9 +6,9 @@ import pytest
 
 from nssgate.determinants import NodeSet, dense_det, exact_det
 from nssgate.gate_solver import (
+    BISECT_TOL,
     BeamSplitter,
     AncillaSpec,
-    DET_TOL,
     DegenerateSystemError,
     bs_diagonal_element,
     bs_diagonal_element_exact,
@@ -21,11 +21,27 @@ from nssgate.gate_solver import (
     find_transmission,
     numerator_closed_form,
     optimal_transmission,
+    secular_polynomial,
     success_probability,
 )
 from nssgate.polynomials import jacobi, spoly_eval_exact
 
 SEED = 31337
+# gapped sets whose roots lie below the roundoff of float determinants
+GAPPED = (
+    (1, 2, 4, 6, 8, 9, 10, 11),
+    (1, 3, 4, 6, 7, 9, 10, 11),
+    (0, 4, 6, 7, 8, 9, 12, 14, 16),
+    (0, 1, 3, 4, 5, 6, 10, 11, 12, 16),
+    (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16),
+)
+DET_TOL = 1e-10  # |det| <= DET_TOL * |T^2-1|^{N(N-1)/2} holds on the small sets tested here
+
+
+def _exact_a_and_a2(nodes, t):
+    """Exact-rational rows of a = a1 + a2 and of a2 at the rational t."""
+    a1, a2 = coefficient_matrix_exact(nodes, t)
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)], a2
 
 
 class TestBeamSplitter:
@@ -237,6 +253,55 @@ class TestFindTransmission:
                 m = build_coefficient_matrix(nodes, BeamSplitter(t))
                 scale = abs(t * t - 1) ** (N * (N - 1) / 2) if N > 1 else 1.0
                 assert abs(dense_det(m.matrix)) <= DET_TOL * max(scale, 1e-300)
+
+    @pytest.mark.parametrize(
+        "nodes", [tuple(range(N)) for N in range(1, 11)] + [(0, 2), (1, 2, 4), (0, 2, 3, 7)] + list(GAPPED[:3]), ids=str
+    )
+    def test_roots_change_the_exact_determinant_sign(self, nodes):
+        # exact det(a) from the matrix elements, independent of the secular polynomial
+        nodes = NodeSet(nodes)
+
+        def det(t):
+            return exact_det(_exact_a_and_a2(nodes, Fraction(t))[0])
+
+        roots = find_transmission(nodes)
+        assert roots
+        for t in roots:
+            lo, hi = det(t - 1e-12), det(t + 1e-12)
+            assert det(t) == 0 or (lo < 0) != (hi < 0), t
+
+
+class TestSecularPolynomial:
+    def test_matrix_determinant_lemma_exact(self):
+        # det(a1 + a2) = det(a2) P(t) / t^N in rationals, P = secular_polynomial / N!
+        rng = np.random.default_rng(SEED)
+        for i in range(64):
+            N = 1 + i % 8
+            nodes = NodeSet(tuple(sorted(int(v) for v in rng.choice(N + 5, size=N, replace=False))))
+            t = Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 1000)), 1000)
+            a, a2 = _exact_a_and_a2(nodes, t)
+            P = sum(c * t**k for k, c in enumerate(secular_polynomial(nodes))) / math.factorial(N)
+            assert exact_det(a) == exact_det(a2) * P / t**N, (nodes, t)
+
+    @pytest.mark.parametrize("nodes", [tuple(range(14))] + list(GAPPED), ids=str)
+    def test_roots_bracketed_within_half_bisect_tol(self, nodes):
+        # the exact sign change of P that certifies each root lies within the final bisection interval
+        coeffs = secular_polynomial(NodeSet(nodes))
+
+        def P(t):
+            return sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+
+        roots = find_transmission(NodeSet(nodes))
+        assert roots
+        for t in roots:
+            d = BISECT_TOL / 2 + 4 * math.ulp(t)
+            assert P(t) == 0 or (P(t - d) < 0) != (P(t + d) < 0), t
+
+    def test_minimal_nodes_give_the_paper_polynomial(self):
+        for N in range(1, 15):
+            coeffs = secular_polynomial(NodeSet.minimal(N))
+            bracket = [2 * (k == 0) - math.comb(N, k) * (-1) ** k for k in range(N + 1)]
+            assert coeffs == [0] * N + [math.factorial(N) * c for c in bracket]
 
 
 class TestCofactors:

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from nssgate.determinants import NodeSet
-from nssgate.gate_solver import DET_TOL, optimal_transmission
+from nssgate.gate_solver import optimal_transmission
 from nssgate.optimizer import scan_nodes, sweep
+
+DET_TOL = 1e-10  # |det| <= DET_TOL * |T^2-1|^{N(N-1)/2} holds on the small sets tested here
 
 
 def test_scan_minimal_two():
@@ -40,6 +42,15 @@ def test_scan_entries_validated_and_ordered():
         scale = abs(complex(e.T) ** 2 - 1) ** (N * (N - 1) / 2)
         assert e.det_residual <= DET_TOL * max(scale, 1e-300) or e.det_residual == 0.0
     assert report.best.p == max(e.p for e in report.entries)
+
+
+@pytest.mark.parametrize("nodes", [tuple(range(N)) for N in range(2, 15)] + [(0, 2), (1, 2, 4)], ids=str)
+def test_scan_lists_no_unit_transmission(nodes):
+    # det(a2), and with it det(a), vanishes at T = +-1 for N >= 2; no gate exists there
+    report = scan_nodes(NodeSet(nodes))
+    assert report.entries
+    assert all(abs(e.T) < 1.0 for e in report.entries)
+    assert all(abs(t) < 1.0 for t, _ in report.skipped)
 
 
 def test_scan_determinism():
