@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .determinants import NodeSet, dense_det, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
+from .determinants import NodeSet, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
 from .fock_oracle import FACTORIAL_CAP, SignalState, apply_gate, fidelity, target_state
 from .gate_solver import BISECT_TOL, DEDUPE_TOL, GRID_POINTS, T_EXCLUDE
 from .optimizer import scan_nodes, sweep
@@ -66,7 +66,7 @@ def _emit(text: str, out_path):
 
 def _envelope(command: str, seed: int, payload: dict) -> dict:
     art = {
-        "schema": 3,
+        "schema": 4,
         "version": __version__,
         "command": command,
         "seed": seed,
@@ -115,17 +115,9 @@ def cmd_solve(args) -> int:
         "p": sol.p,
         "alphas": [[float(a), 0.0] for a in sol.alphas],
         "gammas": list(sol.gammas),
-        "det_residual": sol.det_residual,
-        "row_used": sol.row_used,
     }
     if args.format == "csv":
-        lines = ["N,T_re,T_im,p,det_residual"]
-        lines.append(
-            ",".join(
-                [str(sol.N)]
-                + [_fmt(v) for v in (sol.T, 0.0, sol.p, sol.det_residual)]
-            )
-        )
+        lines = ["N,T_re,T_im,p", ",".join([str(sol.N)] + [_fmt(v) for v in (sol.T, 0.0, sol.p)])]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_json_dump(_envelope("solve", args.seed, {"scan": report.to_dict(), "solution": solution})), args.out)
@@ -135,17 +127,12 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     rows = sweep(args.n_min, args.n_max)
     if args.format == "csv":
-        lines = ["N,T,p,residual"]
+        lines = ["N,T,p"]
         for r in rows:
-            lines.append(",".join([str(r.N), _fmt(r.T), _fmt(r.p), _fmt(r.det_residual)]))
+            lines.append(",".join([str(r.N), _fmt(r.T), _fmt(r.p)]))
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = {
-            "rows": [
-                {"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p, "residual": r.det_residual}
-                for r in rows
-            ]
-        }
+        payload = {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}
         _emit(_json_dump(_envelope("sweep", args.seed, payload)), args.out)
     return 0
 
@@ -154,6 +141,9 @@ def cmd_verify(args) -> int:
     N = args.n
     if N < 1:
         print("error: need N >= 1", file=sys.stderr)
+        return 1
+    if args.trials < 1:
+        print("error: need --trials >= 1", file=sys.stderr)
         return 1
     if 2 * N - 1 > FACTORIAL_CAP:
         print(f"error: N={N} needs photon sectors beyond the cap {FACTORIAL_CAP}", file=sys.stderr)
@@ -370,6 +360,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: output pipe closed before the result was written", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # --out names a directory, or a path in a missing or read-only one
+        print(f"error: cannot write {args.out or 'to stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -1,20 +1,26 @@
-"""Coefficient matrix of the conditional sign-shift gate, its roots and cofactors.
+"""Coefficient matrix of the conditional sign-shift gate, its roots and weights.
 
 The gate exists at transmission values T where the N x N coefficient matrix
 a = a1 + a2 becomes singular; the ancilla/projection weights then come from
-the null space, and the post-selection success probability is
+its null vector v, and the post-selection success probability is
+p = 1/||v||_1^2 once v is scaled to a2 v = 1 (`success_probability`).  For
+the minimal photon numbers {0..N-1} everything is known in closed form:
+det(a) = (T^2-1)^{N(N-1)/2} [2-(1-T)^N], the root T = 1-2^{1/N}, and
+p = 1/N^2.
 
-    p = |sum_l A_l a2[row, l]|^2 / (sum_l |A_l|)^2
+For any node set a2 = D_T B(T) C' D_n factors into diagonal powers of T, a
+scaled Pascal matrix and the integer matrix C'[j, l] = C(n_l, j), and
+a1 = 1 f^T is rank one.  So det(a) = det(a2) P(T) / T^N, with P a
+polynomial of degree 2N with exact rational coefficients
+(`secular_polynomial`), and the null vector is a2^{-1} 1 in closed form.
+The gate transmissions are found as the real roots of P, each certified by
+an exact sign change; no matrix is built on the way from the node set to
+the gate.
 
-with A_l the cofactors of the chosen row.  For the minimal photon numbers
-{0..N-1} everything is known in closed form: det(a) =
-(T^2-1)^{N(N-1)/2} [2-(1-T)^N], the root T = 1-2^{1/N}, and p = 1/N^2.
-
-For any node set det(a) = det(a2) P(T) / T^N, with P a polynomial of degree
-2N with exact rational coefficients (`secular_polynomial`).  The gate
-transmissions are found as the real roots of P, each certified by an exact
-sign change, not from float determinants, whose true size
-(T^2-1)^{N(N-1)/2} lies below their roundoff.
+`build_coefficient_matrix`, `bs_diagonal_element` and the exact-only
+`cofactors` serve the Fock oracle and the tests as independent references;
+they stay in this module because perfbench/run.py traces them by their
+module path.
 
 T is real throughout; a complex T raises ValueError.
 
@@ -28,18 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .determinants import NodeSet, dense_det, exact_det
+from .determinants import NodeSet, exact_det
 
 __all__ = [
     "BeamSplitter",
     "AncillaSpec",
     "CoefficientMatrix",
     "GateSolution",
-    "DegenerateSystemError",
     "bs_diagonal_element",
     "bs_diagonal_element_exact",
     "build_coefficient_matrix",
@@ -48,6 +52,7 @@ __all__ = [
     "optimal_transmission",
     "secular_polynomial",
     "find_transmission",
+    "binomial_inverse_rows",
     "cofactors",
     "cofactor_closed_form",
     "success_probability",
@@ -55,8 +60,9 @@ __all__ = [
     "denominator_closed_form",
 ]
 
-# the root search does not need this cap; success_probability and the Fock
-# oracle are tested up to it
+# neither the root search nor success_probability needs this cap (with it
+# lifted, minimal N = 15..40 give |p N^2 - 1| <= 5.3e-15); it keeps N within
+# what the tests check against the exact-rational and Fock oracles
 PRECISION_CAP = 14
 
 # root search of find_transmission
@@ -64,11 +70,6 @@ GRID_POINTS = 2000
 T_EXCLUDE = 1e-6  # half-width of the excluded band around T = 0
 BISECT_TOL = 1e-13
 DEDUPE_TOL = 1e-9
-
-
-class DegenerateSystemError(ValueError):
-    """Raised when the coefficient matrix has a null space of dimension > 1
-    (or all cofactors vanish), so the gate weights are not determined."""
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,12 @@ def _polymul(a: list, b: list) -> list:
     return out
 
 
+def _forward_differences(values: list) -> list:
+    """Delta^j q(0), j = 0..len-1, from the values q(0), q(1), ...: the
+    coefficients of q in the binomial basis C(x, j) when deg q < len(values)."""
+    return [sum((-1) ** (j - i) * math.comb(j, i) * values[i] for i in range(j + 1)) for j in range(len(values))]
+
+
 def secular_polynomial(nodes: NodeSet) -> list:
     """Integer coefficients, lowest power first, of N! P(t), where
 
@@ -237,8 +244,7 @@ def secular_polynomial(nodes: NodeSet) -> list:
     t^N [2 - (1-t)^N].  det(a2) vanishes only at T = +-1, which P leaves out.
     """
     N = len(nodes)
-    q = [-math.prod(i - n for n in nodes) for i in range(N)]  # N! q(i) for i < N
-    z = [sum((-1) ** (j - i) * math.comb(j, i) * q[i] for i in range(j + 1)) for j in range(N)]  # N! z_j
+    z = _forward_differences([-math.prod(i - n for n in nodes) for i in range(N)])  # N! z_j
     zsum = [sum((-1) ** j * z[j] * math.comb(N - 1 - j, i - j) for j in range(i + 1)) for i in range(N)]
     t_minus_1 = [math.comb(N, i) * (-1) ** (N - i) for i in range(N + 1)]  # (t-1)^N
     tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
@@ -300,13 +306,9 @@ def find_transmission(nodes: NodeSet) -> list:
     return good
 
 
-def cofactors(matrix, row: int, method: str = "adjugate"):
-    """Cofactor row A_{row, l} (row is 0-based, 0..N-1).
-
-    method "adjugate": SVD-based adjugate, robust when det(a) ~ 0;
-    method "minors":   signed minors via dense_det;
-    method "exact":    signed minors in rational arithmetic.
-    """
+def cofactors(matrix, row: int):
+    """Cofactor row A_{row, l} (row is 0-based, 0..N-1): signed minors of the
+    float matrix, each determinant taken in exact rational arithmetic."""
     a = matrix.matrix if isinstance(matrix, CoefficientMatrix) else np.asarray(matrix)
     N = a.shape[0]
     if a.shape != (N, N):
@@ -317,27 +319,12 @@ def cofactors(matrix, row: int, method: str = "adjugate"):
         raise ValueError("row out of range")
     if N == 1:
         return np.array([1.0])
-    if method == "exact":
-        rows = [[Fraction(v) for v in r] for r in np.asarray(a, dtype=float)]
-        out = []
-        for l in range(N):
-            minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
-            out.append((-1) ** (row + l) * float(exact_det(minor)))
-        return np.array(out)
-    if method == "minors":
-        out = []
-        for l in range(N):
-            keep_r = [i for i in range(N) if i != row]
-            keep_c = [j for j in range(N) if j != l]
-            out.append((-1) ** (row + l) * dense_det(a[np.ix_(keep_r, keep_c)]))
-        return np.array(out)
-    if method != "adjugate":
-        raise ValueError(f"unknown method {method!r}")
-    u, s, vt = np.linalg.svd(a)
-    sgn = np.sign(np.linalg.det(u)) * np.sign(np.linalg.det(vt))
-    pi = np.array([np.prod(np.delete(s, i)) for i in range(len(s))])
-    cof = sgn * (u * pi) @ vt  # cofactor matrix = adj(a)^T
-    return cof[row]
+    rows = [[Fraction(v) for v in r] for r in np.asarray(a, dtype=float)]
+    out = []
+    for l in range(N):
+        minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
+        out.append((-1) ** (row + l) * float(exact_det(minor)))
+    return np.array(out)
 
 
 def cofactor_closed_form(N: int, l: int, T: float) -> float:
@@ -372,9 +359,25 @@ def cofactor_closed_form(N: int, l: int, T: float) -> float:
     return term1 + term2
 
 
+def binomial_inverse_rows(nodes: NodeSet) -> list:
+    """Integer pairs (M_l, D_l) with row l of C'^{-1} equal to M_l / D_l, where
+    C'[j, l] = C(n_l, j) for j = 0..N-1.
+
+    D_l = prod_{m != l} (n_l - n_m), and M_l lists the coefficients of
+    prod_{m != l} (x - n_m) in the binomial basis C(x, j), so that
+    sum_j M_l[j] C(n_k, j) = D_l delta_{lk}.
+    """
+    rows = []
+    for n in nodes:
+        others = [m for m in nodes if m != n]
+        M = _forward_differences([math.prod(i - m for m in others) for i in range(len(nodes))])
+        rows.append((M, math.prod(n - m for m in others)))
+    return rows
+
+
 @dataclass(frozen=True)
 class GateSolution:
-    """Fully solved gate: weights, probability and diagnostics."""
+    """Solved gate: transmission, ancilla amplitudes, projection weights and p."""
 
     N: int
     T: float
@@ -382,57 +385,47 @@ class GateSolution:
     alphas: tuple
     gammas: tuple
     p: float
-    cofactors: tuple
-    det_residual: float
-    row_used: int
 
     def ancilla(self) -> AncillaSpec:
         return AncillaSpec(nodes=self.nodes, gammas=self.gammas)
 
 
-def success_probability(matrix: CoefficientMatrix, row: Optional[int] = None) -> GateSolution:
-    """Maximal post-selection probability and the weights achieving it.
+def success_probability(nodes: NodeSet, T) -> GateSolution:
+    """Weights and post-selection probability of the gate at a root T of det(a).
 
-    At a true root of det(a) every cofactor row is proportional to the right
-    null vector of a, so the weights are taken from that null vector (smallest
-    singular direction); this keeps the row dependence at roundoff level even
-    for N around 10, where the individually computed cofactor rows pick up the
-    amplified sensitivity of the near-singular matrix.  `row` selects which
-    a2 row enters the numerator; default is the last (0-based N-1).
+    a v = 0 with a1 = 1 f^T makes a2 v a constant vector, so v is a multiple
+    of a2^{-1} 1 = D_n^{-1} C'^{-1} y with y_j = s^j and s = -T/(1+T), and
+    C'^{-1} is exact (`binomial_inverse_rows`).  Scaled to a2 v = 1, the
+    weights alpha_l gamma_l = v_l / ||v||_1 give every level k < N the
+    amplitude lambda_k = +1/||v||_1, and at a root lambda_N = f^T v / ||v||_1
+    = -1/||v||_1, so p = 1/||v||_1^2.  v is computed times the positive
+    |T|^{max n}, which forms no negative power of T.
+
+    Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
+    enters.  Any other T raises ValueError.
     """
-    a = matrix.matrix
-    N = matrix.N
-    k = N - 1 if row is None else row
-    if not 0 <= k < N:
-        raise ValueError("row out of range")
-    u, s, vt = np.linalg.svd(a)
-    if N >= 2 and s[0] > 0 and s[-2] <= 1e-12 * s[0]:
-        raise DegenerateSystemError("null space dimension exceeds 1")
-    v = vt[-1]  # right null vector: a @ v ~ 0
-    cof = cofactors(matrix, k)
-    if float(np.max(np.abs(cof))) == 0.0:
-        raise DegenerateSystemError("all cofactors vanish")
-    # align the null vector's sign with the cofactor row
-    if np.vdot(cof, v) < 0:
-        v = -v
-    total = float(np.sum(np.abs(v)))
-    num = np.sum(v * matrix.a2[k])
-    p = float(abs(num) ** 2 / total**2)
-    p = min(max(p, 0.0), 1.0)
-    mags = np.sqrt(np.abs(v) / total)
-    alphas = tuple(np.sign(v) * mags)
-    gammas = tuple(float(m) for m in mags)
-    residual = abs(dense_det(a))
+    t = _real_transmission(BeamSplitter(T))
+    N = len(nodes)
+    if not (0.0 < abs(t) < 1.0 or (N == 1 and t == -1.0)):
+        raise ValueError("success_probability needs 0 < |T| < 1 (or T = -1 for N = 1)")
+    s = -t / (1.0 + t) if N > 1 else 0.0
+    top = max(nodes)
+    sign = -1.0 if t < 0 else 1.0
+    v = []
+    for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes)):
+        acc = float(M[-1])
+        for c in reversed(M[:-1]):
+            acc = acc * s + c
+        v.append(acc / D * abs(t) ** (top - n) * sign**n)
+    total = math.fsum(abs(x) for x in v)
+    mags = [math.sqrt(abs(x) / total) for x in v]
     return GateSolution(
         N=N,
-        T=_real_transmission(matrix.bs),
-        nodes=matrix.nodes,
-        alphas=alphas,
-        gammas=gammas,
-        p=p,
-        cofactors=tuple(cof),
-        det_residual=float(residual),
-        row_used=k,
+        T=t,
+        nodes=nodes,
+        alphas=tuple(math.copysign(m, x) for m, x in zip(mags, v)),
+        gammas=tuple(mags),
+        p=(abs(t) ** top / total) ** 2,
     )
 
 

@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .determinants import NodeSet
-from .gate_solver import (
-    PRECISION_CAP,
-    BeamSplitter,
-    DegenerateSystemError,
-    GateSolution,
-    build_coefficient_matrix,
-    find_transmission,
-    success_probability,
-)
+from .gate_solver import PRECISION_CAP, GateSolution, find_transmission, success_probability
 
 __all__ = ["ScanEntry", "ScanReport", "SweepRow", "scan_nodes", "sweep"]
 
@@ -28,7 +20,6 @@ __all__ = ["ScanEntry", "ScanReport", "SweepRow", "scan_nodes", "sweep"]
 class ScanEntry:
     T: float
     p: float
-    det_residual: float
     solution: GateSolution
 
 
@@ -36,13 +27,15 @@ class ScanEntry:
 class ScanReport:
     nodes: NodeSet
     entries: tuple  # ScanEntry, ordered by ascending T
-    skipped: tuple  # (T, reason) for roots where the weights are undetermined
+    # (T, reason) for roots where the weights are undetermined: always empty,
+    # since a2 is invertible for 0 < |T| < 1 (perfbench's trace hook reads it)
+    skipped: tuple
     best: Optional[ScanEntry] = field(default=None)
 
     def to_dict(self) -> dict:
         d = {
             "nodes": list(self.nodes),
-            "entries": [{"T_re": e.T, "T_im": 0.0, "p": e.p, "det_residual": e.det_residual} for e in self.entries],
+            "entries": [{"T_re": e.T, "T_im": 0.0, "p": e.p} for e in self.entries],
             "skipped": [{"T_re": t, "T_im": 0.0, "reason": r} for t, r in self.skipped],
         }
         d["best"] = None
@@ -56,20 +49,14 @@ def scan_nodes(nodes: NodeSet) -> ScanReport:
     if len(nodes) > PRECISION_CAP:
         raise ValueError(f"N={len(nodes)} exceeds the double-precision cap {PRECISION_CAP}")
     entries = []
-    skipped = []
     for t in find_transmission(nodes):
-        matrix = build_coefficient_matrix(nodes, BeamSplitter(t))
-        try:
-            sol = success_probability(matrix)
-        except DegenerateSystemError as exc:
-            skipped.append((t, str(exc)))
-            continue
-        entries.append(ScanEntry(T=t, p=sol.p, det_residual=sol.det_residual, solution=sol))
+        sol = success_probability(nodes, t)
+        entries.append(ScanEntry(T=t, p=sol.p, solution=sol))
     best = None
     for e in entries:
         if best is None or e.p > best.p:
             best = e
-    return ScanReport(nodes=nodes, entries=tuple(entries), skipped=tuple(skipped), best=best)
+    return ScanReport(nodes=nodes, entries=tuple(entries), skipped=(), best=best)
 
 
 @dataclass(frozen=True)
@@ -77,11 +64,10 @@ class SweepRow:
     N: int
     T: float
     p: float
-    det_residual: float
 
 
 def sweep(n_min: int, n_max: int) -> list:
-    """Scaling table (N, best T, best p, residual) for minimal nodes, N = n_min..n_max."""
+    """Scaling table (N, best T, best p) for minimal nodes, N = n_min..n_max."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if n_max > PRECISION_CAP:
@@ -90,5 +76,5 @@ def sweep(n_min: int, n_max: int) -> list:
     for N in range(n_min, n_max + 1):
         best = scan_nodes(NodeSet.minimal(N)).best
         if best is not None:
-            rows.append(SweepRow(N=N, T=best.T, p=best.p, det_residual=best.det_residual))
+            rows.append(SweepRow(N=N, T=best.T, p=best.p))
     return rows

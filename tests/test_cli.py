@@ -28,7 +28,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert "version" in doc and "seed" in doc and "tolerances" in doc and "search" in doc
         sol = doc["solution"]
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
@@ -57,9 +57,6 @@ class TestSolve:
             alphas=tuple(re for re, _ in s["alphas"]),
             gammas=tuple(s["gammas"]),
             p=s["p"],
-            cofactors=(),
-            det_residual=s["det_residual"],
-            row_used=s["row_used"],
         )
         rng = np.random.default_rng(9)
         for _ in range(3):
@@ -87,7 +84,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "N,T_re,T_im,p,det_residual"
+        assert lines[0] == "N,T_re,T_im,p"
         fields = lines[1].split(",")
         assert float(fields[1]) == pytest.approx(1 - math.sqrt(2), abs=1e-10)
 
@@ -120,6 +117,24 @@ class TestSolve:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["solution"]["p"] == pytest.approx(0.25, abs=1e-8)
+
+    def test_huge_photon_number(self, capsys):
+        # T^-999999 would overflow; the weights are scaled by |T|^max(n) instead
+        code, out, err = run(capsys, "solve", "--n", "3", "--nodes", "0,1,999999")
+        assert code == 0
+        assert err == ""
+        sol = json.loads(out)["solution"]
+        assert 0.0 < sol["p"] < 1e-9
+        assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exit_1(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "sol.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(capsys, "sweep", "--n-min", "2", "--n-max", "3", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
     def test_precision_cap_exit_1(self, capsys):
         code, out, err = run(capsys, "solve", "--n", "15")
@@ -165,7 +180,7 @@ def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
     assert "config" not in doc
@@ -178,10 +193,10 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--n-min", "1", "--n-max", "10", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "N,T,p,residual"
+        assert lines[0] == "N,T,p"
         assert len(lines) == 11
         for row in lines[1:]:
-            n, t, p, res = row.split(",")
+            n, t, p = row.split(",")
             assert float(p) * int(n) ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_single_row(self, capsys):
@@ -215,6 +230,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "6", "--trials", "20")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exit_1(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--n", "3", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert "trials" in err and err.count("\n") == 1
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "40")

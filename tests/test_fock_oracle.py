@@ -15,7 +15,6 @@ from nssgate.fock_oracle import (
 from nssgate.gate_solver import (
     BeamSplitter,
     bs_diagonal_element,
-    build_coefficient_matrix,
     optimal_transmission,
     success_probability,
 )
@@ -24,8 +23,7 @@ SEED = 4242
 
 
 def _solve(N):
-    m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(optimal_transmission(N)))
-    return success_probability(m)
+    return success_probability(NodeSet.minimal(N), optimal_transmission(N))
 
 
 class TestSignalState:

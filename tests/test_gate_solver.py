@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from nssgate.determinants import NodeSet, dense_det, exact_det
+from nssgate.fock_oracle import SignalState, apply_gate
 from nssgate.gate_solver import (
     BISECT_TOL,
     BeamSplitter,
     AncillaSpec,
-    DegenerateSystemError,
+    binomial_inverse_rows,
     bs_diagonal_element,
     bs_diagonal_element_exact,
     build_coefficient_matrix,
@@ -24,6 +25,7 @@ from nssgate.gate_solver import (
     secular_polynomial,
     success_probability,
 )
+from nssgate.optimizer import scan_nodes
 from nssgate.polynomials import jacobi, spoly_eval_exact
 
 SEED = 31337
@@ -316,18 +318,6 @@ class TestCofactors:
         assert got[0] == pytest.approx(-a[0, 1], rel=1e-12)
         assert got[1] == pytest.approx(a[0, 0], rel=1e-12)
 
-    def test_methods_agree(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(10):
-            n = int(rng.integers(2, 8))
-            a = rng.normal(size=(n, n))
-            row = int(rng.integers(0, n))
-            adj = cofactors(a, row)
-            mnr = cofactors(a, row, method="minors")
-            exc = cofactors(a, row, method="exact")
-            assert np.allclose(adj, mnr, rtol=1e-9, atol=1e-12)
-            assert np.allclose(mnr, exc, rtol=1e-9, atol=1e-12)
-
     def test_rejects_complex_matrix(self):
         with pytest.raises(ValueError):
             cofactors(np.array([[1j, 0], [0, 2.0]]), 0)
@@ -360,7 +350,7 @@ class TestCofactors:
         N = 4
         t = optimal_transmission(N)
         m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-        cof = cofactors(m, N - 1, method="exact")
+        cof = cofactors(m, N - 1)
         for l in range(N):
             assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
 
@@ -369,7 +359,7 @@ class TestCofactors:
         N = 5
         for t in (-0.6, 0.35):
             m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-            cof = cofactors(m, N - 1, method="exact")
+            cof = cofactors(m, N - 1)
             for l in range(N):
                 assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
 
@@ -393,27 +383,37 @@ class TestCofactors:
             cofactor_closed_form(3, 5, 0.3)
 
 
+def _exact_null_vector(nodes, t):
+    """v = D_n^{-1} C'^{-1} y in rationals, y_j = s^j, s = -t/(1+t) (y = (1,) for N = 1)."""
+    s = -t / (1 + t) if len(nodes) > 1 else Fraction(0)
+    return [sum(c * s**j for j, c in enumerate(M)) / D / t**n for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes))]
+
+
+def _exact_p(nodes, t):
+    """1/||a2^{-1} 1||_1^2 from a2 alone: Cramer's rule on the exact matrix."""
+    _, a2 = coefficient_matrix_exact(nodes, Fraction(t))
+    det = exact_det(a2)
+    v = [exact_det([[1 if j == l else x for j, x in enumerate(row)] for row in a2]) / det for l in range(len(nodes))]
+    return 1 / sum(abs(x) for x in v) ** 2
+
+
 class TestSuccessProbability:
     def test_n1_deterministic(self):
-        m = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
-        sol = success_probability(m)
+        sol = success_probability(NodeSet((0,)), -1.0)
         assert sol.p == pytest.approx(1.0, abs=1e-12)
 
     def test_n2_quarter(self):
-        m = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2)))
-        sol = success_probability(m)
+        sol = success_probability(NodeSet.minimal(2), 1 - math.sqrt(2))
         assert sol.p == pytest.approx(0.25, abs=1e-9)
 
     def test_scaling_law(self):
-        for N in range(3, 11):
-            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(optimal_transmission(N)))
-            sol = success_probability(m)
-            assert sol.p == pytest.approx(1.0 / N**2, abs=1e-9)
+        for N in range(3, 15):
+            sol = success_probability(NodeSet.minimal(N), optimal_transmission(N))
+            assert sol.p * N**2 == pytest.approx(1.0, abs=1e-14)
 
     def test_weight_normalizations(self):
         N = 6
-        m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(optimal_transmission(N)))
-        sol = success_probability(m)
+        sol = success_probability(NodeSet.minimal(N), optimal_transmission(N))
         assert sum(abs(a) ** 2 for a in sol.alphas) == pytest.approx(1.0, abs=1e-12)
         assert sum(g * g for g in sol.gammas) == pytest.approx(1.0, abs=1e-12)
         for a, g in zip(sol.alphas, sol.gammas):
@@ -423,21 +423,71 @@ class TestSuccessProbability:
         assert spec.N == N
 
     def test_row_invariance(self):
+        # every row of the independently built a2 gives the same amplitude:
+        # |a2[k] . w|^2 = p with w_l = alpha_l gamma_l
         for N in (2, 5, 8, 10):
-            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(optimal_transmission(N)))
-            ps = [success_probability(m, row=k).p for k in range(N)]
-            assert max(ps) - min(ps) <= 1e-9
-
-    def test_rejects_bad_row(self):
-        m = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2)))
-        with pytest.raises(ValueError):
-            success_probability(m, row=2)
+            t = optimal_transmission(N)
+            sol = success_probability(NodeSet.minimal(N), t)
+            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            w = np.array(sol.alphas) * np.array(sol.gammas)
+            for k in range(N):
+                assert float(m.a2[k] @ w) ** 2 == pytest.approx(sol.p, abs=1e-9)
 
     def test_degenerate_matrix_rejected(self):
         # at T = 1 the minimal matrix is rank one for N >= 3
-        m = build_coefficient_matrix(NodeSet.minimal(4), BeamSplitter(1.0))
-        with pytest.raises(DegenerateSystemError):
-            success_probability(m)
+        with pytest.raises(ValueError):
+            success_probability(NodeSet.minimal(4), 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -1.0, 1.5, 0.3 + 0.1j])
+    def test_rejects_transmission_outside_the_open_disc(self, t):
+        with pytest.raises(ValueError):
+            success_probability(NodeSet.minimal(2), t)
+
+    def test_binomial_inverse_is_exact(self):
+        # sum_j M_l[j] C(n_k, j) = D_l delta_lk, in integers
+        for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4])):
+            rows = binomial_inverse_rows(nodes)
+            assert len(rows) == len(nodes) and all(len(M) == len(nodes) for M, _ in rows)
+            for (M, D), n in zip(rows, nodes):
+                for nk in nodes:
+                    assert sum(c * math.comb(nk, j) for j, c in enumerate(M)) == (D if nk == n else 0)
+
+    def test_null_vector_exact(self):
+        # a2 v = 1 and a v = P(t)/t^N 1 in rationals, so a1 v = -1 wherever P(t) = 0
+        rng = np.random.default_rng(SEED)
+        for i in range(64):
+            N = 1 + i % 8
+            nodes = NodeSet(tuple(sorted(int(v) for v in rng.choice(N + 5, size=N, replace=False))))
+            t = Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 1000)), 1000)
+            a1, a2 = coefficient_matrix_exact(nodes, t)
+            v = _exact_null_vector(nodes, t)
+            P = sum(c * t**k for k, c in enumerate(secular_polynomial(nodes))) / math.factorial(N)
+            for r1, r2 in zip(a1, a2):
+                assert sum(x * y for x, y in zip(r2, v)) == 1, (nodes, t)
+                assert sum(x * y for x, y in zip(r1, v)) == P / t**N - 1, (nodes, t)
+        # the one rational root: N = 1 at t = -1
+        a1, _ = coefficient_matrix_exact(NodeSet((3,)), Fraction(-1))
+        assert a1[0][0] * _exact_null_vector(NodeSet((3,)), Fraction(-1))[0] == -1
+
+    @pytest.mark.parametrize("nodes", [tuple(range(N)) for N in range(1, 15)] + list(GAPPED) + [(0, 2), (1, 2, 4), (0, 2, 3, 7)], ids=str)
+    def test_p_matches_exact_rational_p(self, nodes):
+        nodes = NodeSet(nodes)
+        for t in find_transmission(nodes):
+            want = float(_exact_p(nodes, t))
+            assert success_probability(nodes, t).p == pytest.approx(want, rel=1e-13, abs=0), t
+
+    @pytest.mark.parametrize("nodes", [tuple(range(N)) for N in range(1, 15)] + list(GAPPED), ids=str)
+    def test_sign_convention(self, nodes):
+        # lambda_k = +sqrt(p) for k < N and lambda_N = -sqrt(p), at every root;
+        # apply_gate's float sums lose up to 8.8e-9 of lambda on the N = 14 set
+        report = scan_nodes(NodeSet(nodes))
+        assert report.entries
+        N = len(nodes)
+        signal = SignalState(tuple([1 / math.sqrt(N + 1)] * (N + 1)))
+        for e in report.entries:
+            _, _, lam = apply_gate(signal, e.solution)
+            want = np.array([1.0] * N + [-1.0])
+            assert np.max(np.abs(lam / math.sqrt(e.p) - want)) <= 2e-8, e.T
 
 
 class TestClosedFormRatio:
@@ -464,7 +514,7 @@ class TestClosedFormRatio:
         for N in range(1, 9):
             t = optimal_transmission(N)
             m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-            cof = cofactors(m, N - 1, method="exact")
+            cof = cofactors(m, N - 1)
             num = float(np.asarray(cof) @ m.a2[N - 1])
             den = float(np.sum(np.abs(cof))) ** 2
             assert num == pytest.approx(-numerator_closed_form(N, t), rel=1e-8)
