@@ -1,9 +1,9 @@
 """Command-line front end: solve gates, sweep scaling tables, verify, identities.
 
-Single-invocation batch tool.  All artifacts are JSON (or CSV for tabular
-output), embed schema/version/seed/tolerances, and are written atomically when
---out is given.  Exit codes: 0 success, 1 usage/validation error, 2 infeasible
-(no root found), 3 identity/verification failure.
+Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
+and sweep tables), embed schema/version/seed/tolerances, and are written
+atomically when --out is given.  Exit codes: 0 success, 1 usage/validation
+error, 2 infeasible (no root found), 3 identity/verification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .determinants import NodeSet, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
 from .fock_oracle import FACTORIAL_CAP, SignalState, apply_gate, fidelity, target_state
-from .gate_solver import BISECT_TOL, DEDUPE_TOL, GRID_POINTS, T_EXCLUDE
+from .gate_solver import BISECT_TOL
 from .optimizer import scan_nodes, sweep
 from .polynomials import (
     gapped_binomial_expand,
@@ -66,16 +66,11 @@ def _emit(text: str, out_path):
 
 def _envelope(command: str, seed: int, payload: dict) -> dict:
     art = {
-        "schema": 4,
+        "schema": 5,
         "version": __version__,
         "command": command,
         "seed": seed,
-        "search": {"grid_points": GRID_POINTS, "t_exclude": T_EXCLUDE},
-        "tolerances": {
-            "bisect_tol": BISECT_TOL,
-            "dedupe_tol": DEDUPE_TOL,
-            "identity_tol": IDENTITY_TOL,
-        },
+        "tolerances": {"bisect_tol": BISECT_TOL, "identity_tol": IDENTITY_TOL},
     }
     art.update(payload)
     return art
@@ -315,19 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (atomic write); default stdout")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve the gate for one node set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nodes", default=None, help="comma-separated photon numbers (default 0..N-1)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="scaling table over a range of N")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
     p.set_defaults(func=cmd_sweep)
 

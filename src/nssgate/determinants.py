@@ -59,17 +59,13 @@ class NodeSet:
         return sum(self.values)
 
 
-def dense_det(matrix, max_dim: int = 64, exact: bool = False):
+def dense_det(matrix, max_dim: int = 64):
     """Determinant by LU with partial pivoting (deterministic smallest-index pivot).
 
-    Dimension 0 returns 1 by the empty-product convention.  With exact=True the
-    computation runs in rational arithmetic (Bareiss), which sidesteps the
-    catastrophic growth of relative error when the determinant is exponentially
-    smaller than the entries.
+    Dimension 0 returns 1 by the empty-product convention.  `exact_det` is the
+    exact-rational path.
     """
-    a = np.asarray(matrix) if not exact else matrix
-    if exact:
-        return float(exact_det(matrix))
+    a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]

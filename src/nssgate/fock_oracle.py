@@ -102,12 +102,8 @@ def _per_level_amplitudes(sol: GateSolution, N: int, full: bool) -> np.ndarray:
         acc = 0.0 + 0.0j
         for w, n in zip(weights, sol.nodes):
             if full:
-                # full sector matrix; post-selection keeps only output ancilla
-                # photon number == n, i.e. output signal level kp == k
-                sector = bs_sector_unitary(k + n, bs).matrix
-                for kp in range(k + n + 1):
-                    if (k + n) - kp == n:
-                        acc += w * sector[kp, k]
+                # post-selected on ancilla photon number n, the signal keeps level k
+                acc += w * bs_sector_unitary(k + n, bs).matrix[k, k]
             else:
                 acc += w * bs_diagonal_element(k, n, bs)
         lam[k] = acc

@@ -13,8 +13,8 @@ scaled Pascal matrix and the integer matrix C'[j, l] = C(n_l, j), and
 a1 = 1 f^T is rank one.  So det(a) = det(a2) P(T) / T^N, with P a
 polynomial of degree 2N with exact rational coefficients
 (`secular_polynomial`), and the null vector is a2^{-1} 1 in closed form.
-The gate transmissions are found as the real roots of P, each certified by
-an exact sign change; no matrix is built on the way from the node set to
+The gate transmissions are the real roots of P, isolated exactly from its
+integer coefficients; no matrix is built on the way from the node set to
 the gate.
 
 `build_coefficient_matrix`, `bs_diagonal_element` and the exact-only
@@ -65,11 +65,7 @@ __all__ = [
 # what the tests check against the exact-rational and Fock oracles
 PRECISION_CAP = 14
 
-# root search of find_transmission
-GRID_POINTS = 2000
-T_EXCLUDE = 1e-6  # half-width of the excluded band around T = 0
-BISECT_TOL = 1e-13
-DEDUPE_TOL = 1e-9
+BISECT_TOL = 1e-13  # width to which find_transmission brackets each root
 
 
 @dataclass(frozen=True)
@@ -268,42 +264,60 @@ def _bisect_root(coeffs: list, lo: float, hi: float, slo: int) -> float:
         smid = _exact_sign(coeffs, mid)
         if smid == 0:
             return mid
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if smid == slo else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def find_transmission(nodes: NodeSet) -> list:
-    """Real roots of det(a(T)) on [-1, -T_EXCLUDE] u [T_EXCLUDE, 1], ascending.
+def _shift(coeffs: list, a: int = 1) -> list:
+    """Integer Taylor shift: the coefficients of p(x + a) from those of p(x)."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
-    The roots are those of the secular polynomial P (`secular_polynomial`),
-    so T = +-1, where det(a2) vanishes with det(a), are roots only if P
-    vanishes there, as it does at T = -1 for N = 1.  P is scanned in floats on
-    GRID_POINTS points; each float sign change must also be an exact sign
-    change of P between the two grid points, and is then bisected to
-    BISECT_TOL with every sign taken in exact arithmetic.  Every root
-    returned is so certified by an exact sign change (or exact zero) of P.
+
+def _real_roots(coeffs: list) -> list:
+    """Ascending real roots in [-1, 1], 0 excluded, of the integer polynomial
+    (lowest power first) at which it changes sign or vanishes exactly at a
+    bisection point (Collins-Akritas bisection with Descartes' rule).
+
+    With t^m divided out, q(x) = p(2x - 1) on [0, 1].  The sign variations v
+    of (1+y)^d q(1/(1+y)) bound the roots inside an interval: v = 0 drops
+    it; v = 1 hands its one simple root to `_bisect_root`, with the sign of p
+    just inside the left end; otherwise it is halved, its midpoint kept if q
+    vanishes there, until it is narrower than BISECT_TOL, where it is kept if
+    v is odd (p changes sign across it; an even-multiplicity root ends here).
     """
-    coeffs = secular_polynomial(nodes)
-    desc = np.array(coeffs[::-1], dtype=float)
-    half = GRID_POINTS // 2
-    roots: list = []
-    for ts in (np.linspace(-1.0, -T_EXCLUDE, half), np.linspace(T_EXCLUDE, 1.0, GRID_POINTS - half)):
-        neg = np.polyval(desc, ts) < 0
-        for i in np.flatnonzero(neg[:-1] != neg[1:]):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            slo, shi = _exact_sign(coeffs, lo), _exact_sign(coeffs, hi)
-            if slo == 0 or shi == 0:
-                roots += [t for t, s in ((lo, slo), (hi, shi)) if s == 0]
-            elif slo != shi:
-                roots.append(_bisect_root(coeffs, lo, hi, slo))
-    good = []
-    for t in sorted(roots):
-        if not good or t - good[-1] > DEDUPE_TOL:
-            good.append(t)
-    return good
+    p = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
+    roots = [t for t in (-1.0, 1.0) if _exact_sign(p, t) == 0]
+    stack = [([b << i for i, b in enumerate(_shift(p, -1))], 0, 0)]  # (q, k, c): x in [c, c+1] / 2^k
+    while stack:
+        q, k, c = stack.pop()
+        signs = [b > 0 for b in _shift(q[::-1]) if b]
+        v = sum(a != b for a, b in zip(signs, signs[1:]))
+        lo, hi = ((2 * e - (1 << k)) / (1 << k) for e in (c, c + 1))
+        if v == 1:
+            roots.append(_bisect_root(p, lo, hi, 1 if signs[-1] else -1))
+        elif v > 1 and hi - lo >= BISECT_TOL:
+            left = [b << (len(q) - 1 - i) for i, b in enumerate(q)]  # 2^d q(x/2)
+            right = _shift(left)
+            if right[0] == 0:
+                roots.append(0.5 * (lo + hi))
+            stack += [(right, k + 1, 2 * c + 1), (left, k + 1, 2 * c)]
+        elif v % 2:
+            roots.append(0.5 * (lo + hi))
+    return sorted(roots)
+
+
+def find_transmission(nodes: NodeSet) -> list:
+    """Real roots of det(a(T)) on [-1, 1], T = 0 excluded, ascending: those of
+    the secular polynomial P (`secular_polynomial`), isolated exactly and
+    completely, each bisected to BISECT_TOL with exact signs.  T = +-1, where
+    det(a2) vanishes with det(a), are roots only where P vanishes, as at
+    T = -1 for N = 1.
+    """
+    return _real_roots(secular_polynomial(nodes))
 
 
 def cofactors(matrix, row: int):

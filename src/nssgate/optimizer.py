@@ -52,10 +52,7 @@ def scan_nodes(nodes: NodeSet) -> ScanReport:
     for t in find_transmission(nodes):
         sol = success_probability(nodes, t)
         entries.append(ScanEntry(T=t, p=sol.p, solution=sol))
-    best = None
-    for e in entries:
-        if best is None or e.p > best.p:
-            best = e
+    best = max(entries, key=lambda e: e.p, default=None)  # the first on ties
     return ScanReport(nodes=nodes, entries=tuple(entries), skipped=(), best=best)
 
 

@@ -14,7 +14,7 @@ from nssgate.fock_oracle import SignalState, apply_gate, fidelity, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import ScanReport
 
-SEARCH_SETTINGS = ("grid_points", "t_exclude", "bisect_tol", "dedupe_tol", "identity_tol")
+SEARCH_SETTINGS = ("bisect_tol", "identity_tol")
 
 
 def run(capsys, *argv):
@@ -28,8 +28,8 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 4
-        assert "version" in doc and "seed" in doc and "tolerances" in doc and "search" in doc
+        assert doc["schema"] == 5
+        assert "version" in doc and "seed" in doc and "tolerances" in doc
         sol = doc["solution"]
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
         assert sol["p"] == pytest.approx(0.25, abs=1e-8)
@@ -180,10 +180,10 @@ def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
-    assert "config" not in doc
+    assert "config" not in doc and "search" not in doc
     if "scan" in doc:
         assert "search" not in doc["scan"]
 
@@ -271,3 +271,15 @@ def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--bogus"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--n", "2", "--trials", "2"), ("identities",)], ids=["verify", "identities"]
+)
+def test_format_only_on_tables(capsys, argv):
+    # only solve and sweep have a CSV form
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nssgate ") and err.endswith("error: unrecognized arguments: --format csv\n")

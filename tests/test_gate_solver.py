@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from nssgate.gate_solver import (
     BISECT_TOL,
     BeamSplitter,
     AncillaSpec,
+    _polymul,
+    _real_roots,
     binomial_inverse_rows,
     bs_diagonal_element,
     bs_diagonal_element_exact,
@@ -304,6 +308,62 @@ class TestSecularPolynomial:
             coeffs = secular_polynomial(NodeSet.minimal(N))
             bracket = [2 * (k == 0) - math.comb(N, k) * (-1) ** k for k in range(N + 1)]
             assert coeffs == [0] * N + [math.factorial(N) * c for c in bracket]
+
+
+def _sturm_count(coeffs):
+    """Distinct real roots in [-1, 1] of the integer polynomial divided by its
+    largest power of t, by a Sturm sequence in exact rationals."""
+    p = [Fraction(c) for c in coeffs]
+    p = p[next(i for i, c in enumerate(p) if c) :]
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        a, b = list(seq[-2]), seq[-1]
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            for i, c in enumerate(b):
+                a[len(a) - len(b) + i] -= f * c
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            break
+        seq.append([-c for c in a])
+
+    def variations(x):
+        vals = [v for v in (sum(c * x**i for i, c in enumerate(s)) for s in seq) if v]
+        return sum((u < 0) != (w < 0) for u, w in zip(vals, vals[1:]))
+
+    # V(a) - V(b) counts the distinct roots in (a, b]
+    return variations(-1) - variations(1) + (sum(c * (-1) ** i for i, c in enumerate(p)) == 0)
+
+
+class TestRealRoots:
+    @pytest.mark.parametrize(
+        "factors, want",
+        [
+            (([-599, 2000], [-2999, 10000]), [0.2995, 0.2999]),  # 4e-4 apart, between two points of a 1e-3 grid
+            (([-1, 2_000_000],), [5e-7]),
+            (([-1, 4], [-1, 4], [-1, 2_000_000]), [5e-7, 0.25]),  # 1/4 is a bisection midpoint
+            (([-1, 3], [-1, 3], [1, 5]), [-0.2]),  # the double root has no sign change
+        ],
+        ids=["close_pair", "near_zero", "midpoint_double_root", "even_multiplicity"],
+    )
+    def test_synthetic_polynomials(self, factors, want):
+        got = _real_roots(functools.reduce(_polymul, factors))
+        assert len(got) == len(want)
+        for t, w in zip(got, want):
+            assert t == pytest.approx(w, abs=BISECT_TOL)
+
+    def test_finds_every_root(self):
+        # completeness: as many roots as P / t^m has distinct real roots in [-1, 1]
+        sets = (
+            [tuple(range(N)) for N in range(1, 15)]
+            + [s for N in range(2, 6) for s in itertools.combinations(range(N + 4), N)]
+            + list(GAPPED)
+        )
+        for nodes in sets:
+            nodes = NodeSet(nodes)
+            assert len(find_transmission(nodes)) == _sturm_count(secular_polynomial(nodes)), nodes
 
 
 class TestCofactors:
