@@ -1,9 +1,10 @@
 """Command-line front end: solve gates, sweep scaling tables, verify, identities.
 
 Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
-and sweep tables), embed schema/version/seed/tolerances, and are written
-atomically when --out is given.  Exit codes: 0 success, 1 usage/validation
-error, 2 infeasible (no root found), 3 identity/verification failure.
+and sweep tables), embed schema/version/tolerances and, for the randomized
+verify and identities, the seed, and are written atomically when --out is
+given.  Exit codes: 0 success, 1 usage/validation error, 2 infeasible (no
+root found), 3 identity/verification failure.
 """
 
 from __future__ import annotations
@@ -64,12 +65,11 @@ def _emit(text: str, out_path):
         raise
 
 
-def _envelope(command: str, seed: int, payload: dict) -> dict:
+def _envelope(command: str, payload: dict) -> dict:
     art = {
-        "schema": 5,
+        "schema": 6,
         "version": __version__,
         "command": command,
-        "seed": seed,
         "tolerances": {"bisect_tol": BISECT_TOL, "identity_tol": IDENTITY_TOL},
     }
     art.update(payload)
@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
         nodes = NodeSet.minimal(args.n)
     report = scan_nodes(nodes)
     if report.best is None:
-        payload = _envelope("solve", args.seed, {"scan": report.to_dict(), "solution": None})
+        payload = _envelope("solve", {"scan": report.to_dict(), "solution": None})
         _emit(_json_dump(payload), args.out)
         return 2
     sol = report.best.solution
@@ -115,7 +115,7 @@ def cmd_solve(args) -> int:
         lines = ["N,T_re,T_im,p", ",".join([str(sol.N)] + [_fmt(v) for v in (sol.T, 0.0, sol.p)])]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(_envelope("solve", args.seed, {"scan": report.to_dict(), "solution": solution})), args.out)
+        _emit(_json_dump(_envelope("solve", {"scan": report.to_dict(), "solution": solution})), args.out)
     return 0
 
 
@@ -128,7 +128,7 @@ def cmd_sweep(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}
-        _emit(_json_dump(_envelope("sweep", args.seed, payload)), args.out)
+        _emit(_json_dump(_envelope("sweep", payload)), args.out)
     return 0
 
 
@@ -166,18 +166,18 @@ def cmd_verify(args) -> int:
         "max_fidelity_error": max_fid_err,
         "max_prob_error": max_p_err,
         "pass": ok,
+        "seed": args.seed,
     }
-    _emit(_json_dump(_envelope("verify", args.seed, payload)), args.out)
+    _emit(_json_dump(_envelope("verify", payload)), args.out)
     return 0 if ok else 3
 
 
-def _rand_x(rng, lo=-0.95, hi=0.95, avoid_zero=True) -> Fraction:
-    """Random rational sample point (exact, reproducible)."""
+def _rand_x(rng) -> Fraction:
+    """Random non-zero rational sample point in [-0.95, 0.95] (exact, reproducible)."""
     while True:
-        v = int(rng.integers(int(lo * 1000), int(hi * 1000) + 1))
-        if avoid_zero and v == 0:
-            continue
-        return Fraction(v, 1000)
+        v = int(rng.integers(-950, 951))
+        if v != 0:
+            return Fraction(v, 1000)
 
 
 def _suite_a(rng) -> list:
@@ -300,8 +300,8 @@ def cmd_identities(args) -> int:
         res = suites[name](rng)
         report[name] = res
         all_ok = all_ok and all(r["pass"] for r in res)
-    payload = {"suites": report, "pass": all_ok}
-    _emit(_json_dump(_envelope("identities", args.seed, payload)), args.out)
+    payload = {"suites": report, "pass": all_ok, "seed": args.seed}
+    _emit(_json_dump(_envelope("identities", payload)), args.out)
     return 0 if all_ok else 3
 
 
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (atomic write); default stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve the gate for one node set")
     p.add_argument("--n", type=int, required=True)
@@ -330,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="end-to-end Fock-space verification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities", help="run the polynomial/determinant identity suites")
     p.add_argument("--suite", choices=["a", "b", "c", "all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_identities)
     return parser

@@ -59,26 +59,27 @@ class NodeSet:
         return sum(self.values)
 
 
-def dense_det(matrix, max_dim: int = 64):
-    """Determinant by LU with partial pivoting (deterministic smallest-index pivot).
+def dense_det(matrix) -> float:
+    """Determinant of a real matrix by LU with partial pivoting (deterministic
+    smallest-index pivot).
 
-    Dimension 0 returns 1 by the empty-product convention.  `exact_det` is the
-    exact-rational path.
+    Dimension 0 returns 1 by the empty-product convention.  A complex matrix
+    raises ValueError.  `exact_det` is the exact-rational path.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if np.iscomplexobj(a):
+        raise ValueError("dense_det takes a real matrix")
     n = a.shape[0]
     if n == 0:
         return 1.0
-    if n > max_dim:
-        raise ValueError(f"dimension {n} exceeds cap {max_dim}")
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
-    det = 1.0 + 0j if np.iscomplexobj(a) else 1.0
+    a = a.astype(np.float64, copy=True)
+    det = 1.0
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))  # argmax: first (smallest) index on ties
         if a[piv, col] == 0:
-            return 0.0 * det
+            return 0.0
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             det = -det

@@ -1,17 +1,16 @@
 """Brute-force two-mode Fock-space beam-splitter simulator.
 
 Independent of the polynomial machinery: sector unitaries are built by
-expanding (T a+ + r b+)^k (-r a+ + T* b+)^{M-k} over the Fock basis, and the
-gate is verified end to end by projecting the ancilla back onto its input
-photon number.  Serves as the oracle for the diagonal matrix elements and for
-the sign-flip rule c_N -> -c_N.
+expanding (T a+ + r b+)^k (-r a+ + T b+)^{M-k} over the Fock basis for the
+real transmission T, and the gate is verified end to end by projecting the
+ancilla back onto its input photon number.  Serves as the oracle for the
+diagonal matrix elements and for the sign-flip rule c_N -> -c_N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .gate_solver import BeamSplitter, GateSolution, bs_diagonal_element
 __all__ = [
     "FACTORIAL_CAP",
     "SignalState",
-    "TwoModeAmplitudes",
     "bs_sector_unitary",
     "apply_gate",
     "target_state",
@@ -51,59 +49,40 @@ class SignalState:
         return len(self.coefficients) - 1
 
 
-@dataclass(frozen=True)
-class TwoModeAmplitudes:
-    """Beam-splitter unitary restricted to total photon number M.
+def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
+    """Expand the mode transformation a+ -> T a+ + r b+, b+ -> -r a+ + T b+
+    combinatorially within the M-photon sector.
 
-    matrix[kp, k] = <kp, M-kp| U |k, M-k>.
-    """
-
-    M: int
-    matrix: np.ndarray
-
-
-def bs_sector_unitary(M: int, bs: BeamSplitter) -> TwoModeAmplitudes:
-    """Expand the mode transformation a+ -> T a+ + r b+, b+ -> -r a+ + T* b+
-    combinatorially within the M-photon sector."""
+    Returns the real (M+1) x (M+1) array u[kp, k] = <kp, M-kp| U |k, M-k>."""
     if M < 0:
         raise ValueError("photon number must be non-negative")
     if M > FACTORIAL_CAP:
         raise ValueError(f"sector M={M} exceeds cap {FACTORIAL_CAP}")
-    T = complex(bs.T)
-    tc = T.conjugate()
+    T = bs.T
     r = bs.r
-    real = bs.is_real
-    u = np.zeros((M + 1, M + 1), dtype=np.float64 if real else np.complex128)
+    u = np.zeros((M + 1, M + 1))
     for k in range(M + 1):
         nb = M - k
         norm_in = math.sqrt(_FACT[k] * _FACT[nb])
         for kp in range(M + 1):
-            acc = 0.0 if real else 0.0 + 0.0j
+            acc = 0.0
             for i in range(max(0, kp - nb), min(k, kp) + 1):
                 j = kp - i
-                term = (
-                    math.comb(k, i)
-                    * T**i
-                    * r ** (k - i)
-                    * math.comb(nb, j)
-                    * (-r) ** j
-                    * tc ** (nb - j)
-                )
-                acc += term.real if real else term
+                acc += math.comb(k, i) * T**i * r ** (k - i) * math.comb(nb, j) * (-r) ** j * T ** (nb - j)
             u[kp, k] = acc * math.sqrt(_FACT[kp] * _FACT[M - kp]) / norm_in
-    return TwoModeAmplitudes(M=M, matrix=u)
+    return u
 
 
 def _per_level_amplitudes(sol: GateSolution, N: int, full: bool) -> np.ndarray:
     bs = BeamSplitter(sol.T)
     weights = [a * g for a, g in zip(sol.alphas, sol.gammas)]
-    lam = np.zeros(N + 1, dtype=complex)
+    lam = np.zeros(N + 1)
     for k in range(N + 1):
-        acc = 0.0 + 0.0j
+        acc = 0.0
         for w, n in zip(weights, sol.nodes):
             if full:
                 # post-selected on ancilla photon number n, the signal keeps level k
-                acc += w * bs_sector_unitary(k + n, bs).matrix[k, k]
+                acc += w * bs_sector_unitary(k + n, bs)[k, k]
             else:
                 acc += w * bs_diagonal_element(k, n, bs)
         lam[k] = acc

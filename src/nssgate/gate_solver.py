@@ -22,7 +22,8 @@ the gate.
 they stay in this module because perfbench/run.py traces them by their
 module path.
 
-T is real throughout; a complex T raises ValueError.
+T is real throughout: `BeamSplitter` stores it as a float and raises
+ValueError for a T with a non-zero imaginary part.
 
 Matrix rows are indexed k = 1..N but stored 0-based, so row index kk
 corresponds to photon level k = kk+1 and a2[kk, l] is the beam-splitter
@@ -41,7 +42,6 @@ from .determinants import NodeSet, exact_det
 
 __all__ = [
     "BeamSplitter",
-    "AncillaSpec",
     "CoefficientMatrix",
     "GateSolution",
     "bs_diagonal_element",
@@ -65,61 +65,30 @@ __all__ = [
 # what the tests check against the exact-rational and Fock oracles
 PRECISION_CAP = 14
 
-BISECT_TOL = 1e-13  # width to which find_transmission brackets each root
+BISECT_TOL = 1e-13  # relative width to which find_transmission brackets each root
 
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Active beam splitter with transmission T.
+    """Active beam splitter with real transmission T.
 
-    Complex T serves the Fock oracle's sector unitaries; the solver functions
-    here take real T only."""
+    Any real number type is accepted and stored as a float; a T with a
+    non-zero imaginary part raises ValueError."""
 
-    T: complex
+    T: float
 
     def __post_init__(self):
-        if abs(self.T) > 1.0 + 1e-12:
+        t = complex(self.T)
+        if t.imag != 0.0:
+            raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
+        if abs(t) > 1.0 + 1e-12:
             raise ValueError("|T| must not exceed 1")
-
-    @property
-    def P(self) -> float:
-        """Jacobi-polynomial argument 2|T|^2 - 1."""
-        return 2.0 * abs(self.T) ** 2 - 1.0
+        object.__setattr__(self, "T", t.real)
 
     @property
     def r(self) -> float:
-        """Reflection magnitude sqrt(1 - |T|^2)."""
-        return math.sqrt(max(0.0, 1.0 - abs(self.T) ** 2))
-
-    @property
-    def is_real(self) -> bool:
-        return abs(complex(self.T).imag) == 0.0
-
-
-@dataclass(frozen=True)
-class AncillaSpec:
-    """N-term ancilla: photon numbers n_l with real weights gamma_l."""
-
-    nodes: NodeSet
-    gammas: tuple
-
-    def __post_init__(self):
-        if len(self.gammas) != len(self.nodes):
-            raise ValueError("one weight per photon number required")
-        norm = sum(g * g for g in self.gammas)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("weights must satisfy sum gamma^2 = 1")
-
-    @property
-    def N(self) -> int:
-        return len(self.nodes)
-
-
-def _real_transmission(bs: BeamSplitter) -> float:
-    T = complex(bs.T)
-    if T.imag != 0.0:
-        raise ValueError("the solver takes real T only")
-    return T.real
+        """Reflection magnitude sqrt(1 - T^2)."""
+        return math.sqrt(max(0.0, 1.0 - self.T**2))
 
 
 def _fused_sum(k: int, n: int, t, u):
@@ -146,7 +115,7 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
     """
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
-    t = _real_transmission(bs)
+    t = bs.T
     if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
     return _fused_sum(k, n, t, 1.0 - t * t)
@@ -179,7 +148,7 @@ class CoefficientMatrix:
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> CoefficientMatrix:
     """Assemble a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] = <kk, n_l|U|kk, n_l>
     for stored row index kk = 0..N-1 (photon level k-1 of the 1-based row k)."""
-    t = _real_transmission(bs)
+    t = bs.T
     if t == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     u = 1.0 - t * t
@@ -259,7 +228,7 @@ def _exact_sign(coeffs: list, t: float) -> int:
 
 
 def _bisect_root(coeffs: list, lo: float, hi: float, slo: int) -> float:
-    while hi - lo > BISECT_TOL:
+    while hi - lo > BISECT_TOL * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         smid = _exact_sign(coeffs, mid)
         if smid == 0:
@@ -285,9 +254,11 @@ def _real_roots(coeffs: list) -> list:
     With t^m divided out, q(x) = p(2x - 1) on [0, 1].  The sign variations v
     of (1+y)^d q(1/(1+y)) bound the roots inside an interval: v = 0 drops
     it; v = 1 hands its one simple root to `_bisect_root`, with the sign of p
-    just inside the left end; otherwise it is halved, its midpoint kept if q
-    vanishes there, until it is narrower than BISECT_TOL, where it is kept if
-    v is odd (p changes sign across it; an even-multiplicity root ends here).
+    just inside the left end, which bisects it to the relative width
+    BISECT_TOL; otherwise it is halved, its midpoint kept if q vanishes
+    there, until it is narrower than BISECT_TOL in absolute width, where it
+    is kept if v is odd (p changes sign across it; an even-multiplicity root
+    ends here).
     """
     p = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
     roots = [t for t in (-1.0, 1.0) if _exact_sign(p, t) == 0]
@@ -313,9 +284,9 @@ def _real_roots(coeffs: list) -> list:
 def find_transmission(nodes: NodeSet) -> list:
     """Real roots of det(a(T)) on [-1, 1], T = 0 excluded, ascending: those of
     the secular polynomial P (`secular_polynomial`), isolated exactly and
-    completely, each bisected to BISECT_TOL with exact signs.  T = +-1, where
-    det(a2) vanishes with det(a), are roots only where P vanishes, as at
-    T = -1 for N = 1.
+    completely, each bisected with exact signs to the relative width
+    BISECT_TOL.  T = +-1, where det(a2) vanishes with det(a), are roots only
+    where P vanishes, as at T = -1 for N = 1.
     """
     return _real_roots(secular_polynomial(nodes))
 
@@ -400,9 +371,6 @@ class GateSolution:
     gammas: tuple
     p: float
 
-    def ancilla(self) -> AncillaSpec:
-        return AncillaSpec(nodes=self.nodes, gammas=self.gammas)
-
 
 def success_probability(nodes: NodeSet, T) -> GateSolution:
     """Weights and post-selection probability of the gate at a root T of det(a).
@@ -418,7 +386,7 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
     Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
     enters.  Any other T raises ValueError.
     """
-    t = _real_transmission(BeamSplitter(T))
+    t = BeamSplitter(T).T
     N = len(nodes)
     if not (0.0 < abs(t) < 1.0 or (N == 1 and t == -1.0)):
         raise ValueError("success_probability needs 0 < |T| < 1 (or T = -1 for N = 1)")

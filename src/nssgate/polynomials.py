@@ -75,16 +75,9 @@ def jacobi(k: int, beta: Real, x: Real) -> float:
     total = Fraction(0)
     hm = Fraction(1)
     for m in range(k + 1):
-        total += math.comb(k, m) * _frac_binomial(k + bf + m, m) * hm
+        total += math.comb(k, m) * binomial(k + bf + m, m) * hm
         hm *= h
     return float(total)
-
-
-def _frac_binomial(a: Fraction, m: int) -> Fraction:
-    prod = Fraction(1)
-    for i in range(m):
-        prod *= a - i
-    return prod / math.factorial(m)
 
 
 def spoly_eval(k: int, x: float, n: Real) -> float:
@@ -109,7 +102,7 @@ def spoly_eval_exact(k: int, x: Real, n: Real) -> Fraction:
     u = 1 - x2
     total = Fraction(0)
     for j in range(k + 1):
-        total += (-1) ** j * math.comb(k, j) * _frac_binomial(nf, j) * x2 ** (k - j) * u**j
+        total += (-1) ** j * math.comb(k, j) * binomial(nf, j) * x2 ** (k - j) * u**j
     return total
 
 

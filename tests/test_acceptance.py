@@ -110,7 +110,7 @@ def test_criterion_4_matrix_element_oracle():
         t = Fraction(int(rng.choice([-1, 1]) * rng.integers(30, 990)), 1000)
         bs = BeamSplitter(float(t))
         for M in range(0, 21):
-            sector = bs_sector_unitary(M, bs).matrix
+            sector = bs_sector_unitary(M, bs)
             worst_u = max(worst_u, float(np.max(np.abs(sector.T.conj() @ sector - np.eye(M + 1)))))
             for k in range(M + 1):
                 n = M - k

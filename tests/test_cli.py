@@ -28,8 +28,9 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 5
-        assert "version" in doc and "seed" in doc and "tolerances" in doc
+        assert doc["schema"] == 6
+        assert "version" in doc and "tolerances" in doc
+        assert "seed" not in doc  # solve draws no random numbers
         sol = doc["solution"]
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
         assert sol["p"] == pytest.approx(0.25, abs=1e-8)
@@ -180,7 +181,8 @@ def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
+    assert "seed" not in doc
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
     assert "config" not in doc and "search" not in doc
@@ -274,12 +276,20 @@ def test_unknown_flag_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", "--n", "2", "--trials", "2"), ("identities",)], ids=["verify", "identities"]
+    "argv, flag",
+    [
+        (("verify", "--n", "2", "--trials", "2"), ("--format", "csv")),
+        (("identities",), ("--format", "csv")),
+        (("solve", "--n", "2"), ("--seed", "1")),
+        (("sweep", "--n-min", "1", "--n-max", "2"), ("--seed", "1")),
+    ],
+    ids=["verify", "identities", "solve-seed", "sweep-seed"],
 )
-def test_format_only_on_tables(capsys, argv):
-    # only solve and sweep have a CSV form
+def test_format_only_on_tables(capsys, argv, flag):
+    # only solve and sweep have a CSV form, and only verify and identities
+    # draw random numbers, so only they take --seed
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--format", "csv"])
+        main([*argv, *flag])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: nssgate ") and err.endswith("error: unrecognized arguments: --format csv\n")
+    assert err.startswith("usage: nssgate ") and err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")

@@ -56,9 +56,9 @@ class TestDenseDet:
         with pytest.raises(ValueError):
             dense_det(np.zeros((2, 3)))
 
-    def test_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            dense_det(np.eye(65))
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="real matrix"):
+            dense_det(np.array([[1j, 0], [0, 2.0]]))
 
     def test_matches_exact_on_random_integer_matrices(self):
         rng = np.random.default_rng(SEED)
@@ -66,10 +66,6 @@ class TestDenseDet:
             n = int(rng.integers(1, 7))
             m = rng.integers(-9, 10, size=(n, n))
             assert dense_det(m.astype(float)) == pytest.approx(float(exact_det(m.tolist())), rel=1e-10, abs=1e-10)
-
-    def test_complex(self):
-        m = np.array([[1j, 0], [0, 2.0]])
-        assert dense_det(m) == pytest.approx(2j)
 
 
 def test_vandermonde_power_examples():
