@@ -60,6 +60,13 @@ class TestDenseDet:
         with pytest.raises(ValueError, match="real matrix"):
             dense_det(np.array([[1j, 0], [0, 2.0]]))
 
+    def test_no_dimension_cap(self):
+        # upper triangular with the rows reversed: det = (-1)^(n(n-1)/2) prod(diag)
+        n = 80
+        u = np.triu(np.full((n, n), 0.5)) + np.diag(np.linspace(0.5, 1.5, n))
+        want = (-1) ** (n * (n - 1) // 2) * float(np.prod(np.diag(u)))
+        assert dense_det(u[::-1]) == pytest.approx(want, rel=1e-12)
+
     def test_matches_exact_on_random_integer_matrices(self):
         rng = np.random.default_rng(SEED)
         for _ in range(20):

@@ -65,6 +65,15 @@ class TestBeamSplitter:
         bs = BeamSplitter(0.5 + 0j)
         assert type(bs.T) is float and bs.T == 0.5
 
+    @pytest.mark.parametrize(
+        "T, want",
+        [(-1, -1.0), (Fraction(3, 5), 0.6), (np.float32(0.5), 0.5), (np.int64(0), 0.0)],
+        ids=["int", "Fraction", "float32", "int64"],
+    )
+    def test_real_number_types_give_float(self, T, want):
+        bs = BeamSplitter(T)
+        assert type(bs.T) is float and bs.T == want
+
     def test_rejects_overunity(self):
         with pytest.raises(ValueError):
             BeamSplitter(1.5)
