@@ -73,11 +73,13 @@ class BeamSplitter:
     """Active beam splitter with real transmission T.
 
     Any real number type is accepted and stored as a float; a T with a
-    non-zero imaginary part raises ValueError."""
+    non-zero imaginary part raises ValueError, a string TypeError."""
 
     T: float
 
     def __post_init__(self):
+        if isinstance(self.T, (str, bytes)):
+            raise TypeError(f"the beam splitter takes a number, got {self.T!r}")
         t = complex(self.T)
         if t.imag != 0.0:
             raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
@@ -394,11 +396,14 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
     top = max(nodes)
     sign = -1.0 if t < 0 else 1.0
     v = []
-    for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes)):
-        acc = float(M[-1])
-        for c in reversed(M[:-1]):
-            acc = acc * s + c
-        v.append(acc / D * abs(t) ** (top - n) * sign**n)
+    try:
+        for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes)):
+            acc = float(M[-1])
+            for c in reversed(M[:-1]):
+                acc = acc * s + c
+            v.append(acc / D * abs(t) ** (top - n) * sign**n)
+    except OverflowError:
+        raise ValueError("photon numbers too large: the exact inverse of C(n_l, j) has entries beyond the float range") from None
     total = math.fsum(abs(x) for x in v)
     mags = [math.sqrt(abs(x) / total) for x in v]
     return GateSolution(

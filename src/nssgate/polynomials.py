@@ -6,11 +6,12 @@ evaluation
 
     S_k^{(x)}(n) = sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (1-x^2)^j
 
-which is exact term-by-term for integer n and extends to arbitrary real n via
-the generalized binomial.  The naive route (power of x times the alternating
-Jacobi sum) loses most of its significant digits for k+n beyond ~15, so the
-fused form is the default here; the Jacobi-sum route is kept (in exact
-rational arithmetic) as an independent cross-check.
+at integer n, negative n included (C(n, j) is then the extended binomial).
+For rational x = a/b, b^{2k} S_k^{(x)}(n) is an integer, so the exact value is
+one integer sum over one common denominator.  The naive route (power of x
+times the alternating Jacobi sum) loses most of its significant digits for
+k+n beyond ~15, so the fused form is the default here; the Jacobi-sum route
+is kept (summed exactly the same way) as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Real = Union[int, float, Fraction]
 
 __all__ = [
     "binomial",
@@ -39,74 +37,50 @@ __all__ = [
 ]
 
 
-def binomial(a: Real, m: int):
-    """Generalized binomial C(a, m) = a(a-1)...(a-m+1)/m!.
-
-    Defined by the falling-factorial product, so it is valid for negative or
-    non-integer upper argument.  Integer/Fraction input stays exact.
-    """
+def binomial(a: int, m: int) -> int:
+    """C(a, m) = a(a-1)...(a-m+1)/m! for integer a, negative a included; 0 for m < 0."""
     if m < 0:
         return 0
-    if isinstance(a, int):
-        if a >= 0:
-            return math.comb(a, m) if m <= a else 0
-        num = 1
-        for i in range(m):
-            num *= a - i
-        return num // math.factorial(m)  # product of m consecutive ints is divisible by m!
-    prod = Fraction(1) if isinstance(a, Fraction) else 1.0
-    for i in range(m):
-        prod *= a - i
-    return prod / math.factorial(m)
+    return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
 
 
-def jacobi(k: int, beta: Real, x: Real) -> float:
-    """Evaluate P_k^{(0,beta)}(x) = sum_m C(k,m) C(k+beta+m, m) ((x-1)/2)^m.
+def jacobi(k: int, beta: int, x) -> float:
+    """P_k^{(0,beta)}(x) = sum_m C(k,m) C(k+beta+m, m) ((x-1)/2)^m at integer beta.
 
     The sum alternates violently for the arguments this package needs
-    (x = 2T^2-1 with T near -0.4), so it is accumulated in exact rational
-    arithmetic and rounded once at the end.
+    (x = 2T^2-1 with T near -0.4), so with x = a/b it is summed exactly, as
+    integers over the common denominator (2b)^k, and rounded once.
     """
-    if k < 0:
-        raise ValueError("order k must be non-negative")
-    xf = Fraction(x) if not isinstance(x, Fraction) else x
-    bf = Fraction(beta) if not isinstance(beta, Fraction) else beta
-    h = (xf - 1) / 2
-    total = Fraction(0)
-    hm = Fraction(1)
-    for m in range(k + 1):
-        total += math.comb(k, m) * binomial(k + bf + m, m) * hm
-        hm *= h
-    return float(total)
-
-
-def spoly_eval(k: int, x: float, n: Real) -> float:
-    """S_k^{(x)}(n) via the stable fused sum
-
-        sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (x^2-1)^j,
-
-    accumulated in exact rational arithmetic (the alternating terms still
-    cancel to ~4 digits near |x| = 1 at k = 20, which a double accumulator
-    cannot absorb at the required 1e-10 relative accuracy).
-    """
-    return float(spoly_eval_exact(k, Fraction(x), Fraction(n)))
-
-
-def spoly_eval_exact(k: int, x: Real, n: Real) -> Fraction:
-    """Exact-rational S_k^{(x)}(n); oracle for tight-tolerance determinant work."""
     if k < 0:
         raise ValueError("order k must be non-negative")
     xf = Fraction(x)
-    nf = Fraction(n)
-    x2 = xf * xf
-    u = 1 - x2
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += (-1) ** j * math.comb(k, j) * binomial(nf, j) * x2 ** (k - j) * u**j
-    return total
+    a, b = xf.numerator, xf.denominator
+    total = sum(math.comb(k, m) * binomial(k + beta + m, m) * (a - b) ** m * (2 * b) ** (k - m) for m in range(k + 1))
+    return float(Fraction(total, (2 * b) ** k))
 
 
-def spoly_recursion_step(k: int, x: float, n: Real, s_km1: float, s_km2: float) -> float:
+def spoly_eval(k: int, x: float, n: int) -> float:
+    """S_k^{(x)}(n) as a float: the exact fused sum, rounded once.
+
+    Its alternating terms still cancel to ~4 digits near |x| = 1 at k = 20,
+    more than a double accumulator can absorb at 1e-10 relative accuracy."""
+    return float(spoly_eval_exact(k, Fraction(x), n))
+
+
+def spoly_eval_exact(k: int, x, n: int) -> Fraction:
+    """Exact S_k^{(x)}(n) at an integer n (a non-integer n raises TypeError).
+
+    With x = a/b it is the integer sum_j (-1)^j C(k,j) C(n,j) a^{2(k-j)}
+    (b^2-a^2)^j over b^{2k}."""
+    if k < 0:
+        raise ValueError("order k must be non-negative")
+    xf = Fraction(x)
+    a2, b2 = xf.numerator**2, xf.denominator**2
+    total = sum((-1) ** j * math.comb(k, j) * binomial(n, j) * a2 ** (k - j) * (b2 - a2) ** j for j in range(k + 1))
+    return Fraction(total, b2**k)
+
+
+def spoly_recursion_step(k: int, x: float, n: int, s_km1: float, s_km2: float) -> float:
     """Advance the three-term recursion
 
         k S_k = [(x^2-1)(n+k) + 2k-1] S_{k-1} - (k-1) x^2 S_{k-2}.
@@ -153,7 +127,7 @@ class SPoly:
             coeffs.append(c)
         return cls(order=k, parameter=x, coefficients=tuple(coeffs))
 
-    def __call__(self, n: Real) -> float:
+    def __call__(self, n: float) -> float:
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * n + c
@@ -182,7 +156,7 @@ def symmetric_s(x: float, p: int, j: int, N: int) -> float:
     return float(b) * x ** (2 * (p - j)) * (1.0 - x * x) ** (N - p)
 
 
-def gapped_binomial_expand(p: int, q: int, l: Real) -> float:
+def gapped_binomial_expand(p: int, q: int, l: int) -> float:
     """The gap-q expansion of C(l,p)/(l-q), valid also at the removable point l = q.
 
     Returns (1/(p C(p-1,q))) sum_{r=0}^{p-1} (-1)^{p-1-r} C(r,q) C(l,r),

@@ -128,6 +128,14 @@ class TestSolve:
         assert 0.0 < sol["p"] < 1e-9
         assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, nodes", [("2", f"0,{10**320}"), ("3", f"0,1,{10**200}")], ids=["n2", "n3"])
+    def test_photon_numbers_beyond_float_range_exit_1(self, capsys, n, nodes):
+        # the exact weights of these node sets do not fit in a float
+        code, out, err = run(capsys, "solve", "--n", n, "--nodes", nodes)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_exit_1(self, capsys, tmp_path, where):
         target = tmp_path / "missing" / "sol.json" if where == "missing_dir" else tmp_path
@@ -267,6 +275,18 @@ class TestIdentities:
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(a))[0] == 0
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [("verify", "--n", "2"), ("identities", "--suite", "a")], ids=["verify", "identities"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: nssgate {argv[0]} ")
+    assert error.startswith(f"nssgate {argv[0]}: error: argument --seed: ")
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -74,6 +74,11 @@ class TestBeamSplitter:
         bs = BeamSplitter(T)
         assert type(bs.T) is float and bs.T == want
 
+    @pytest.mark.parametrize("T", ["0.5", b"0.5"], ids=["str", "bytes"])
+    def test_rejects_text(self, T):
+        with pytest.raises(TypeError):
+            BeamSplitter(T)
+
     def test_rejects_overunity(self):
         with pytest.raises(ValueError):
             BeamSplitter(1.5)

@@ -6,6 +6,7 @@ import pytest
 
 from nssgate.polynomials import (
     SPoly,
+    binomial,
     elementary_sigma,
     gapped_binomial_expand,
     jacobi,
@@ -81,6 +82,33 @@ def test_spoly_negative_n_against_exact_jacobi():
             x = Fraction(3, 10)
             ref = jacobi(k, n - k, 2 * x * x - 1)
             assert spoly_eval(k, float(x), n) == pytest.approx(ref, rel=1e-10)
+
+
+def test_binomial_is_falling_factorial_over_factorial():
+    for a in range(-12, 13):
+        for m in range(-1, 13):
+            want = Fraction(math.prod(a - i for i in range(m)), math.factorial(m)) if m >= 0 else 0
+            got = binomial(a, m)
+            assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, Fraction(3, 10), Fraction(-3, 10), Fraction(999, 1000), 0.3, -0.7])
+def test_spoly_exact_equals_exact_recursion(x):
+    # S_0 = 1, S_1 = (x^2-1)(n+1) + 1, then the three-term recursion, all in Fractions
+    x2 = Fraction(x) ** 2
+    for n in (-10, -3, -1, 0, 1, 7, 30, 40):
+        prev, cur = Fraction(0), Fraction(1)
+        for k in range(21):
+            if k > 0:
+                prev, cur = cur, (((x2 - 1) * (n + k) + 2 * k - 1) * cur - (k - 1) * x2 * prev) / k
+            assert spoly_eval_exact(k, x, n) == cur
+
+
+def test_spoly_rejects_non_integer_photon_number():
+    with pytest.raises(TypeError):
+        spoly_eval_exact(3, Fraction(1, 2), Fraction(5, 2))
+    with pytest.raises(TypeError):
+        spoly_eval(3, 0.5, 2.5)
 
 
 def test_recursion_trivial_cases():
