@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .determinants import NodeSet, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
-from .fock_oracle import FACTORIAL_CAP, SignalState, apply_gate, fidelity, target_state
+from .fock_oracle import SignalState, apply_gate, fidelity, target_state
 from .gate_solver import BISECT_TOL
 from .optimizer import scan_nodes, sweep
 from .polynomials import (
@@ -146,9 +146,6 @@ def cmd_verify(args) -> int:
         return 1
     if args.trials < 1:
         print("error: need --trials >= 1", file=sys.stderr)
-        return 1
-    if 2 * N - 1 > FACTORIAL_CAP:
-        print(f"error: N={N} needs photon sectors beyond the cap {FACTORIAL_CAP}", file=sys.stderr)
         return 1
     report = scan_nodes(NodeSet.minimal(N))
     if report.best is None:

@@ -1,8 +1,9 @@
 """Brute-force two-mode Fock-space beam-splitter simulator.
 
-Independent of the polynomial machinery: sector unitaries are built by
-expanding (T a+ + r b+)^k (-r a+ + T b+)^{M-k} over the Fock basis for the
-real transmission T, and the gate is verified end to end by projecting the
+Independent of the secular polynomial and the binomial inverse of
+`gate_solver`: sector unitaries are built by expanding
+(T a+ + r b+)^k (-r a+ + T b+)^{M-k} over the Fock basis for the real
+transmission T, and the gate is verified end to end by projecting the
 ancilla back onto its input photon number.  Serves as the oracle for the
 diagonal matrix elements and for the sign-flip rule c_N -> -c_N.
 """

@@ -17,10 +17,10 @@ The gate transmissions are the real roots of P, isolated exactly from its
 integer coefficients; no matrix is built on the way from the node set to
 the gate.
 
+Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`.
 `build_coefficient_matrix`, `bs_diagonal_element` and the exact-only
-`cofactors` serve the Fock oracle and the tests as independent references;
-they stay in this module because perfbench/run.py traces them by their
-module path.
+`cofactors` serve the Fock oracle and the tests as references; they stay in
+this module because perfbench/run.py traces them by their module path.
 
 T is real throughout: `BeamSplitter` stores it as a float and raises
 ValueError for a T with a non-zero imaginary part.
@@ -39,13 +39,13 @@ from fractions import Fraction
 import numpy as np
 
 from .determinants import NodeSet, exact_det
+from .polynomials import spoly_eval, spoly_eval_exact, weight_sequence
 
 __all__ = [
     "BeamSplitter",
     "CoefficientMatrix",
     "GateSolution",
     "bs_diagonal_element",
-    "bs_diagonal_element_exact",
     "build_coefficient_matrix",
     "coefficient_matrix_exact",
     "det_closed_form",
@@ -93,40 +93,20 @@ class BeamSplitter:
         return math.sqrt(max(0.0, 1.0 - self.T**2))
 
 
-def _fused_sum(k: int, n: int, t, u):
-    """sum_j (-1)^j C(k,j) C(n,j) t^{k+n-2j} u^j, with u = 1 - t^2.
-
-    The accumulator starts at the int 0, so the type of t picks the
-    arithmetic: a float or a Fraction.
-    """
-    total = 0
-    for j in range(min(k, n) + 1):
-        total += (-1) ** j * math.comb(k, j) * math.comb(n, j) * t ** (k + n - 2 * j) * u**j
-    return total
-
-
 def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
-    """Fock-diagonal beam-splitter amplitude <k, n| U |k, n> for real T.
+    """Fock-diagonal beam-splitter amplitude <k, n| U |k, n> for real T:
 
-    Equal to T^{n-k} P_k^{(0,n-k)}(2T^2-1), but evaluated through the fused
-    combinatorial sum
+        T^{n-k} P_k^{(0,n-k)}(2T^2-1) = T^{n-k} S_k^{(T)}(n).
 
-        sum_j (-1)^j C(k,j) C(n,j) T^{k+n-2j} (1-T^2)^j
-
-    which avoids the severe cancellation of the power-times-Jacobi route.
+    S is summed exactly and rounded once (`spoly_eval`), which avoids the
+    cancellation of its alternating terms, and T^{n-k} is one float power.
     """
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
     t = bs.T
     if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
-    return _fused_sum(k, n, t, 1.0 - t * t)
-
-
-def bs_diagonal_element_exact(k: int, n: int, T) -> Fraction:
-    """Exact-rational version of bs_diagonal_element."""
-    t = Fraction(T)
-    return _fused_sum(k, n, t, 1 - t * t)
+    return t ** (n - k) * spoly_eval(k, t, n)
 
 
 @dataclass(frozen=True)
@@ -150,25 +130,20 @@ class CoefficientMatrix:
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> CoefficientMatrix:
     """Assemble a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] = <kk, n_l|U|kk, n_l>
     for stored row index kk = 0..N-1 (photon level k-1 of the 1-based row k)."""
-    t = bs.T
-    if t == 0:
+    if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
-    u = 1.0 - t * t
     N = len(nodes)
-    a1 = np.empty((N, N))
-    a2 = np.empty((N, N))
-    for l, n in enumerate(nodes):
-        a1[:, l] = _fused_sum(N, n, t, u)
-        for kk in range(N):
-            a2[kk, l] = _fused_sum(kk, n, t, u)
+    a1 = np.array([[bs_diagonal_element(N, n, bs) for n in nodes]] * N)
+    a2 = np.array([[bs_diagonal_element(kk, n, bs) for n in nodes] for kk in range(N)])
     return CoefficientMatrix(nodes=nodes, bs=bs, a1=a1, a2=a2)
 
 
 def coefficient_matrix_exact(nodes: NodeSet, T):
     """Exact-rational (a1, a2) row lists for real rational T; oracle path."""
+    t = Fraction(T)
     N = len(nodes)
-    a1 = [[bs_diagonal_element_exact(N, n, T) for n in nodes] for _ in range(N)]
-    a2 = [[bs_diagonal_element_exact(kk, n, T) for n in nodes] for kk in range(N)]
+    a1 = [[t ** (n - N) * spoly_eval_exact(N, t, n) for n in nodes] for _ in range(N)]
+    a2 = [[t ** (n - kk) * spoly_eval_exact(kk, t, n) for n in nodes] for kk in range(N)]
     return a1, a2
 
 
@@ -325,14 +300,9 @@ def cofactor_closed_form(N: int, l: int, T: float) -> float:
         raise ValueError("l out of range")
     if T == 0.0 or (T == -1.0 and N > 1):
         raise ValueError("closed form has poles at T = 0 and T = -1")
-    # sum_p C(p,l) (T/(T+1))^p, p=0 term split off; for N=1 only that term
-    # survives, which keeps the T = -1 limit finite (A = -T = 1, matching the
-    # 1x1 cofactor convention)
-    ssum = 1.0 if l == 0 else 0.0
-    if N > 1:
-        w = T / (T + 1.0)
-        ssum += sum(math.comb(p, l) * w**p for p in range(max(l, 1), N))
-    term1 = N * (T * T - 1.0) ** (N * (N - 1) // 2) * (-1.0) ** (1 - l) * T ** (1 - l) * ssum
+    # T^{1-l} sum_p C(p,l) (T/(T+1))^p = T s_l, finite at T = -1 for N = 1
+    # (A = -T = 1, matching the 1x1 cofactor convention)
+    term1 = N * (T * T - 1.0) ** (N * (N - 1) // 2) * (-1.0) ** (1 - l) * T * weight_sequence(l, N, T)
     bracket = 2.0 - (1.0 - T) ** N
     if abs(bracket) < 1e-8:
         return term1

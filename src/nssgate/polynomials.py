@@ -1,17 +1,16 @@
 """Jacobi polynomials P_k^{(0,beta)}, the S-polynomial family and related identities.
 
 The S-polynomials S_k^{(x)}(n) are degree-k polynomials in the photon number n
-that reparametrize P_k^{(0,n-k)}(2x^2-1).  They admit a cancellation-resistant
-evaluation
+that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
+(C(n, j) is then the extended binomial),
 
-    S_k^{(x)}(n) = sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (1-x^2)^j
+    S_k^{(x)}(n) = sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (1-x^2)^j.
 
-at integer n, negative n included (C(n, j) is then the extended binomial).
-For rational x = a/b, b^{2k} S_k^{(x)}(n) is an integer, so the exact value is
-one integer sum over one common denominator.  The naive route (power of x
-times the alternating Jacobi sum) loses most of its significant digits for
-k+n beyond ~15, so the fused form is the default here; the Jacobi-sum route
-is kept (summed exactly the same way) as an independent cross-check.
+For x = a/b this is one integer sum over b^{2k} (`spoly_eval_exact`), which
+`spoly_eval` rounds once; it is the package's one S kernel, and the
+beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n).  The
+power-times-Jacobi route loses most of its digits in floats for k+n beyond
+~15; it is kept, summed exactly the same way, as an independent cross-check.
 """
 
 from __future__ import annotations

@@ -55,12 +55,15 @@ class TestSectorUnitary:
         assert u[1, 1] == pytest.approx(bs_diagonal_element(1, 0, BeamSplitter(T)).real)
         assert u[0, 0] == pytest.approx(bs_diagonal_element(0, 1, BeamSplitter(T)).real)
 
-    def test_three_photon_diagonal_against_jacobi_route(self):
-        T = 1 - math.sqrt(2)
-        u = bs_sector_unitary(3, BeamSplitter(T))
-        # entry (k, n) = (2, 1): row index kp = 2, column k = 2 in the sector M = 3
-        want = bs_diagonal_element(2, 1, BeamSplitter(T))
-        assert u[2, 2] == pytest.approx(want.real, rel=1e-12)
+    def test_diagonal_matches_diagonal_element(self):
+        # entry (k, n) is row kp = k, column k of the sector M = k + n.  The
+        # sector sums are alternating float sums, good to the worst measured
+        # 4.7e-13 absolute (at M = 34), so the bound is 1e-12 of the unit norm
+        bs = BeamSplitter(1 - math.sqrt(2))
+        for M in range(FACTORIAL_CAP + 1):
+            u = bs_sector_unitary(M, bs)
+            for k in range(M + 1):
+                assert u[k, k] == pytest.approx(bs_diagonal_element(k, M - k, bs), rel=0, abs=1e-12), (k, M - k)
 
     def test_unitarity(self):
         rng = np.random.default_rng(SEED)

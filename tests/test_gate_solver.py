@@ -15,7 +15,6 @@ from nssgate.gate_solver import (
     _real_roots,
     binomial_inverse_rows,
     bs_diagonal_element,
-    bs_diagonal_element_exact,
     build_coefficient_matrix,
     coefficient_matrix_exact,
     cofactor_closed_form,
@@ -107,12 +106,21 @@ class TestDiagonalElement:
                     got = bs_diagonal_element(k, n, BeamSplitter(float(T)))
                     assert got == pytest.approx(want, rel=1e-10)
 
-    def test_exact_variant_agrees(self):
-        for k, n in ((0, 0), (3, 2), (5, 7)):
-            t = Fraction(-41, 100)
-            assert float(bs_diagonal_element_exact(k, n, t)) == pytest.approx(
-                bs_diagonal_element(k, n, BeamSplitter(float(t))).real, rel=1e-13
-            )
+    def test_matches_exact_fock_expansion(self):
+        # against sum_i C(k,i) C(n,k-i) t^{n-k+2i} (t^2-1)^{k-i}, the coefficient
+        # of a+^k b+^n in (t a+ + r b+)^k (-r a+ + t b+)^n, summed exactly at the
+        # float T: S is rounded once and T^{n-k} is one float power, so the
+        # element is good to about 2 ulp (worst measured 2.5e-16)
+        for T in (-0.95, -0.7, 1 - math.sqrt(2), 1 - 2 ** (1 / 14), -0.1, 0.3, 0.6, 0.9, 0.99):
+            t = Fraction(T)
+            bs = BeamSplitter(T)
+            for k in range(15):
+                for n in range(35):
+                    want = sum(
+                        math.comb(k, i) * math.comb(n, k - i) * t ** (n - k + 2 * i) * (t * t - 1) ** (k - i) for i in range(k + 1)
+                    )
+                    got = bs_diagonal_element(k, n, bs)
+                    assert abs(Fraction(got) - want) <= Fraction(4.5e-16) * abs(want), (T, k, n)
 
     def test_pole_at_zero_transmission(self):
         with pytest.raises(ValueError):
@@ -533,7 +541,8 @@ class TestSuccessProbability:
     @pytest.mark.parametrize("nodes", [tuple(range(N)) for N in range(1, 15)] + list(GAPPED), ids=str)
     def test_sign_convention(self, nodes):
         # lambda_k = +sqrt(p) for k < N and lambda_N = -sqrt(p), at every root;
-        # apply_gate's float sums lose up to 8.8e-9 of lambda on the N = 14 set
+        # each diagonal element is good to ~2 ulp, which leaves the float sum
+        # over the weighted elements: worst 2.5e-11, on the gapped N = 14 set
         report = scan_nodes(NodeSet(nodes))
         assert report.entries
         N = len(nodes)
@@ -541,7 +550,7 @@ class TestSuccessProbability:
         for e in report.entries:
             _, _, lam = apply_gate(signal, e.solution)
             want = np.array([1.0] * N + [-1.0])
-            assert np.max(np.abs(lam / math.sqrt(e.p) - want)) <= 2e-8, e.T
+            assert np.max(np.abs(lam / math.sqrt(e.p) - want)) <= 1e-10, e.T
 
 
 class TestClosedFormRatio:
