@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -53,12 +54,20 @@ def _emit(text: str, out_path):
             sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe raises here, inside main
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nssgate-")
+    path = os.path.realpath(out_path)  # a symlink's target is replaced, not the link
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:  # a device or fifo is written through, never renamed over
+            fh.write(text)
+        return
+    umask = os.umask(0o022)  # os.umask is the only way to read the umask
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.isfile(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".nssgate-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

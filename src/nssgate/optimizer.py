@@ -13,7 +13,7 @@ from typing import Optional
 from .determinants import NodeSet
 from .gate_solver import PRECISION_CAP, GateSolution, find_transmission, success_probability
 
-__all__ = ["ScanEntry", "ScanReport", "SweepRow", "scan_nodes", "sweep"]
+__all__ = ["ScanEntry", "ScanReport", "scan_nodes", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,11 @@ def scan_nodes(nodes: NodeSet) -> ScanReport:
     return ScanReport(nodes=nodes, entries=tuple(entries), skipped=(), best=best)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    N: int
-    T: float
-    p: float
-
-
 def sweep(n_min: int, n_max: int) -> list:
-    """Scaling table (N, best T, best p) for minimal nodes, N = n_min..n_max."""
+    """Scaling table for minimal nodes: the best GateSolution of each N = n_min..n_max."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if n_max > PRECISION_CAP:
         raise ValueError(f"n_max exceeds the double-precision cap {PRECISION_CAP}")
-    rows = []
-    for N in range(n_min, n_max + 1):
-        best = scan_nodes(NodeSet.minimal(N)).best
-        if best is not None:
-            rows.append(SweepRow(N=N, T=best.T, p=best.p))
-    return rows
+    bests = (scan_nodes(NodeSet.minimal(N)).best for N in range(n_min, n_max + 1))
+    return [best.solution for best in bests if best is not None]

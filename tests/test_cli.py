@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,50 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_symlink_replaces_its_target(self, capsys, tmp_path):
+        target = tmp_path / "real.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target.name)
+        code, out, _ = run(capsys, "solve", "--n", "2", "--out", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert json.loads(target.read_text())["solution"]["N"] == 2
+
+    def test_out_new_file_mode_follows_umask(self, capsys, tmp_path):
+        target = tmp_path / "sol.json"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "solve", "--n", "2", "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_out_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "sol.json"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        code, _, _ = run(capsys, "solve", "--n", "2", "--out", str(target))
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert json.loads(target.read_text())["solution"]["N"] == 2
+
+    def test_out_fifo_is_written_in_place(self, capsys, tmp_path):
+        # a non-regular file is written through, not renamed over; the read
+        # end is opened first, non-blocking, so the CLI's open never waits
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run(capsys, "sweep", "--n-min", "1", "--n-max", "2", "--out", str(fifo))
+            data = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [r["N"] for r in json.loads(data)["rows"]] == [1, 2]
 
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_exit_1(self, capsys, tmp_path, where):
