@@ -6,29 +6,24 @@ Fock-space oracle and the polynomial/determinant identities the closed forms
 rest on (T = 1 - 2^{1/N}, p_max = 1/N^2 for minimal ancillas).
 """
 
-from .determinants import NodeSet, dense_det, vandermonde_S, vandermonde_power
+from .determinants import NodeSet, vandermonde_S, vandermonde_power
 from .fock_oracle import SignalState, apply_gate, bs_sector_unitary, fidelity, target_state
 from .gate_solver import (
     BeamSplitter,
-    CoefficientMatrix,
     GateSolution,
     bs_diagonal_element,
-    build_coefficient_matrix,
-    cofactors,
-    det_closed_form,
     find_transmission,
     optimal_transmission,
     success_probability,
 )
 from .optimizer import ScanReport, scan_nodes, sweep
-from .polynomials import SPoly, jacobi, spoly_eval
+from .polynomials import spoly_eval
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "NodeSet",
-    "dense_det",
     "vandermonde_S",
     "vandermonde_power",
     "SignalState",
@@ -37,19 +32,13 @@ __all__ = [
     "fidelity",
     "target_state",
     "BeamSplitter",
-    "CoefficientMatrix",
     "GateSolution",
     "bs_diagonal_element",
-    "build_coefficient_matrix",
-    "cofactors",
-    "det_closed_form",
     "find_transmission",
     "optimal_transmission",
     "success_probability",
     "ScanReport",
     "scan_nodes",
     "sweep",
-    "SPoly",
-    "jacobi",
     "spoly_eval",
 ]

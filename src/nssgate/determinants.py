@@ -1,12 +1,15 @@
 """Vandermonde determinants over the power basis and the S-polynomial basis.
 
-Includes the generic dense determinant oracle used throughout the package and
-the gapped Vandermondians needed for cofactor closed forms.
+Also the exact Bareiss determinant, the gapped Vandermondians that the
+`identities` suites check, and `dense_det`, a float LU determinant that no
+module calls: the tests use it as a reference, and it stays in the package
+only because perfbench/run.py traces it by its module path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,12 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Strictly increasing ancilla photon numbers n_1 < ... < n_N."""
+    """Strictly increasing ancilla photon numbers n_1 < ... < n_N.
+
+    Each value must be an integer (Python or numpy); a float, a string or a
+    Fraction raises TypeError rather than being truncated."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(operator.index(v) for v in self.values)
         if len(vals) == 0:
             raise ValueError("node set must be non-empty")
         if any(v < 0 for v in vals):

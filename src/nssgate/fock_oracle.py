@@ -42,7 +42,7 @@ class SignalState:
         if len(coeffs) < 2:
             raise ValueError("signal needs at least two levels")
         norm = sum(abs(c) ** 2 for c in coeffs)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails this too
             raise ValueError("signal state must be normalized")
         object.__setattr__(self, "coefficients", coeffs)
 

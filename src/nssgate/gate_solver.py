@@ -17,10 +17,11 @@ The gate transmissions are the real roots of P, isolated exactly from its
 integer coefficients; no matrix is built on the way from the node set to
 the gate.
 
-Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`.
-`build_coefficient_matrix`, `bs_diagonal_element` and the exact-only
-`cofactors` serve the Fock oracle and the tests as references; they stay in
-this module because perfbench/run.py traces them by their module path.
+Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`;
+the Fock oracle checks the gate through `bs_diagonal_element`.
+`build_coefficient_matrix` and the exact-only `cofactors` are references for
+the tests, and stay in the package only because perfbench/run.py traces them
+by their module path.
 
 T is real throughout: `BeamSplitter` stores it as a float and raises
 ValueError for a T with a non-zero imaginary part.
@@ -39,25 +40,19 @@ from fractions import Fraction
 import numpy as np
 
 from .determinants import NodeSet, exact_det
-from .polynomials import spoly_eval, spoly_eval_exact, weight_sequence
+from .polynomials import spoly_eval
 
 __all__ = [
     "BeamSplitter",
-    "CoefficientMatrix",
     "GateSolution",
     "bs_diagonal_element",
     "build_coefficient_matrix",
-    "coefficient_matrix_exact",
-    "det_closed_form",
     "optimal_transmission",
     "secular_polynomial",
     "find_transmission",
     "binomial_inverse_rows",
     "cofactors",
-    "cofactor_closed_form",
     "success_probability",
-    "numerator_closed_form",
-    "denominator_closed_form",
 ]
 
 # neither the root search nor success_probability needs this cap (with it
@@ -73,7 +68,8 @@ class BeamSplitter:
     """Active beam splitter with real transmission T.
 
     Any real number type is accepted and stored as a float; a T with a
-    non-zero imaginary part raises ValueError, a string TypeError."""
+    non-zero imaginary part, |T| > 1 or NaN raises ValueError, a string
+    TypeError."""
 
     T: float
 
@@ -83,8 +79,8 @@ class BeamSplitter:
         t = complex(self.T)
         if t.imag != 0.0:
             raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
-        if abs(t) > 1.0 + 1e-12:
-            raise ValueError("|T| must not exceed 1")
+        if not abs(t) <= 1.0 + 1e-12:  # NaN fails this too
+            raise ValueError(f"|T| must not exceed 1, got {self.T!r}")
         object.__setattr__(self, "T", t.real)
 
     @property
@@ -109,47 +105,16 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
     return t ** (n - k) * spoly_eval(k, t, n)
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """a = a1 + a2 with the split parts stored separately (a1 is constant in k)."""
-
-    nodes: NodeSet
-    bs: BeamSplitter
-    a1: np.ndarray
-    a2: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.a1 + self.a2
-
-
-def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> CoefficientMatrix:
-    """Assemble a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] = <kk, n_l|U|kk, n_l>
-    for stored row index kk = 0..N-1 (photon level k-1 of the 1-based row k)."""
+def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
+    """The float pair (a1, a2), a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] =
+    <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1 (photon level k-1 of
+    the 1-based row k); the coefficient matrix is a = a1 + a2."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
     a1 = np.array([[bs_diagonal_element(N, n, bs) for n in nodes]] * N)
     a2 = np.array([[bs_diagonal_element(kk, n, bs) for n in nodes] for kk in range(N)])
-    return CoefficientMatrix(nodes=nodes, bs=bs, a1=a1, a2=a2)
-
-
-def coefficient_matrix_exact(nodes: NodeSet, T):
-    """Exact-rational (a1, a2) row lists for real rational T; oracle path."""
-    t = Fraction(T)
-    N = len(nodes)
-    a1 = [[t ** (n - N) * spoly_eval_exact(N, t, n) for n in nodes] for _ in range(N)]
-    a2 = [[t ** (n - kk) * spoly_eval_exact(kk, t, n) for n in nodes] for kk in range(N)]
     return a1, a2
-
-
-def det_closed_form(N: int, T: float) -> float:
-    """det(a) = (T^2-1)^{N(N-1)/2} [2 - (1-T)^N] for minimal nodes {0..N-1}."""
-    return (T * T - 1.0) ** (N * (N - 1) // 2) * (2.0 - (1.0 - T) ** N)
 
 
 def optimal_transmission(N: int) -> float:
@@ -270,8 +235,9 @@ def find_transmission(nodes: NodeSet) -> list:
 
 def cofactors(matrix, row: int):
     """Cofactor row A_{row, l} (row is 0-based, 0..N-1): signed minors of the
-    float matrix, each determinant taken in exact rational arithmetic."""
-    a = matrix.matrix if isinstance(matrix, CoefficientMatrix) else np.asarray(matrix)
+    float matrix, each determinant taken in exact rational arithmetic (the
+    empty minor of a 1x1 matrix gives 1)."""
+    a = np.asarray(matrix)
     N = a.shape[0]
     if a.shape != (N, N):
         raise ValueError("matrix must be square")
@@ -279,41 +245,12 @@ def cofactors(matrix, row: int):
         raise ValueError("cofactors takes a real matrix")
     if not 0 <= row < N:
         raise ValueError("row out of range")
-    if N == 1:
-        return np.array([1.0])
     rows = [[Fraction(v) for v in r] for r in np.asarray(a, dtype=float)]
     out = []
     for l in range(N):
         minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
         out.append((-1) ** (row + l) * float(exact_det(minor)))
     return np.array(out)
-
-
-def cofactor_closed_form(N: int, l: int, T: float) -> float:
-    """Last-row cofactor A_{N-1,l} (0-based) for minimal nodes.
-
-    General-T form; the second term carries the factor [2-(1-T)^N] and is
-    dropped once that bracket is below 1e-8 (at the optimal T the cancellation
-    is exact and the remaining term is the whole answer).
-    """
-    if not 0 <= l <= N - 1:
-        raise ValueError("l out of range")
-    if T == 0.0 or (T == -1.0 and N > 1):
-        raise ValueError("closed form has poles at T = 0 and T = -1")
-    # T^{1-l} sum_p C(p,l) (T/(T+1))^p = T s_l, finite at T = -1 for N = 1
-    # (A = -T = 1, matching the 1x1 cofactor convention)
-    term1 = N * (T * T - 1.0) ** (N * (N - 1) // 2) * (-1.0) ** (1 - l) * T * weight_sequence(l, N, T)
-    bracket = 2.0 - (1.0 - T) ** N
-    if abs(bracket) < 1e-8:
-        return term1
-    term2 = (
-        (-1.0) ** (N - l + 1)
-        * (T * T - 1.0) ** ((N - 2) * (N - 1) // 2)
-        * bracket
-        * math.comb(N - 1, l)
-        * T ** (N - l - 1)
-    )
-    return term1 + term2
 
 
 def binomial_inverse_rows(nodes: NodeSet) -> list:
@@ -384,16 +321,3 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
         gammas=tuple(mags),
         p=(abs(t) ** top / total) ** 2,
     )
-
-
-def numerator_closed_form(N: int, T: float) -> float:
-    """sum_l a1[N-1, l] A_{N-1,l} = N T (T^2-1)^{N(N-1)/2} at the optimal T.
-
-    det(a) = sum_l (a1 + a2)[N-1, l] A_{N-1,l} vanishes at the root, so the a2
-    contraction that enters p is the negative of this value."""
-    return N * T * (T * T - 1.0) ** (N * (N - 1) // 2)
-
-
-def denominator_closed_form(N: int, T: float) -> float:
-    """(sum_l |A_{N-1,l}|)^2 = N^4 T^2 (T^2-1)^{N(N-1)} at the optimal T."""
-    return N**4 * T * T * (T * T - 1.0) ** (N * (N - 1))

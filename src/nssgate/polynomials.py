@@ -1,4 +1,4 @@
-"""Jacobi polynomials P_k^{(0,beta)}, the S-polynomial family and related identities.
+"""The S-polynomial family, its recursion and the expansions over the S basis.
 
 The S-polynomials S_k^{(x)}(n) are degree-k polynomials in the photon number n
 that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
@@ -9,30 +9,22 @@ that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
 For x = a/b this is one integer sum over b^{2k} (`spoly_eval_exact`), which
 `spoly_eval` rounds once; it is the package's one S kernel, and the
 beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n).  The
-power-times-Jacobi route loses most of its digits in floats for k+n beyond
-~15; it is kept, summed exactly the same way, as an independent cross-check.
+recursion and the expansion coefficients serve the `identities` suites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "binomial",
-    "jacobi",
     "spoly_eval",
     "spoly_eval_exact",
     "spoly_recursion_step",
-    "SPoly",
-    "elementary_sigma",
     "symmetric_s",
     "gapped_binomial_expand",
     "oneq_coefficient",
-    "weight_sequence",
-    "weight_sequence_resummed",
-    "partial_binomial_sum",
 ]
 
 
@@ -41,21 +33,6 @@ def binomial(a: int, m: int) -> int:
     if m < 0:
         return 0
     return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
-
-
-def jacobi(k: int, beta: int, x) -> float:
-    """P_k^{(0,beta)}(x) = sum_m C(k,m) C(k+beta+m, m) ((x-1)/2)^m at integer beta.
-
-    The sum alternates violently for the arguments this package needs
-    (x = 2T^2-1 with T near -0.4), so with x = a/b it is summed exactly, as
-    integers over the common denominator (2b)^k, and rounded once.
-    """
-    if k < 0:
-        raise ValueError("order k must be non-negative")
-    xf = Fraction(x)
-    a, b = xf.numerator, xf.denominator
-    total = sum(math.comb(k, m) * binomial(k + beta + m, m) * (a - b) ** m * (2 * b) ** (k - m) for m in range(k + 1))
-    return float(Fraction(total, (2 * b) ** k))
 
 
 def spoly_eval(k: int, x: float, n: int) -> float:
@@ -90,51 +67,6 @@ def spoly_recursion_step(k: int, x: float, n: int, s_km1: float, s_km2: float) -
         raise ValueError("recursion starts at k = 2")
     x2 = x * x
     return (((x2 - 1.0) * (n + k) + 2 * k - 1) * s_km1 - (k - 1) * x2 * s_km2) / k
-
-
-def elementary_sigma(m: int, j: int) -> int:
-    """Elementary symmetric polynomial sigma_j over the integers 1..m (exact)."""
-    if not 0 <= j <= m:
-        raise ValueError("need 0 <= j <= m")
-    # DP over prod_{i=1..m} (t + i); sig[j] collects degree-j terms.
-    sig = [1] + [0] * m
-    for i in range(1, m + 1):
-        for d in range(i, 0, -1):
-            sig[d] = sig[d] + i * sig[d - 1]
-    return sig[j]
-
-
-@dataclass(frozen=True)
-class SPoly:
-    """S_k^{(x)} as an explicit polynomial in n (Eq. coefficients c_kp)."""
-
-    order: int
-    parameter: float
-    coefficients: tuple  # c_k0 .. c_kk
-
-    @classmethod
-    def from_order(cls, k: int, x: float) -> "SPoly":
-        """Build the coefficient list c_kp = sum_{m>=p} C(k,m) (x^2-1)^m sigma_{m-p}^{(m)} / m!."""
-        if k < 0:
-            raise ValueError("order k must be non-negative")
-        u = x * x - 1.0
-        coeffs = []
-        for p in range(k + 1):
-            c = 0.0
-            for m in range(p, k + 1):
-                c += math.comb(k, m) * u**m * elementary_sigma(m, m - p) / math.factorial(m)
-            coeffs.append(c)
-        return cls(order=k, parameter=x, coefficients=tuple(coeffs))
-
-    def __call__(self, n: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
-
-    @property
-    def leading(self) -> float:
-        return self.coefficients[-1]
 
 
 def symmetric_s(x: float, p: int, j: int, N: int) -> float:
@@ -187,31 +119,3 @@ def oneq_coefficient(x: float, q: int, j: int, N: int) -> float:
     for r in range(max(q, j), N + 1):
         total += (-1) ** (N - r) * math.comb(r, q) * math.comb(r, j) * x ** (2 * (r - j)) * u ** (N - r)
     return total / ((N + 1) * math.comb(N, q))
-
-
-def weight_sequence(l: int, N: int, T: float) -> float:
-    """s_l = T^{-l} sum_{p=0}^{N-1} C(p,l) (T/(T+1))^p (defining sum).
-
-    The p = 0 term is handled separately so the N = 1 case stays finite at
-    T = -1.
-    """
-    if not 0 <= l <= N - 1:
-        raise ValueError("need 0 <= l <= N-1")
-    total = 1.0 if l == 0 else 0.0
-    if N > 1:
-        w = T / (T + 1.0)
-        for p in range(max(l, 1), N):
-            total += math.comb(p, l) * w**p
-    return T ** (-l) * total
-
-
-def weight_sequence_resummed(l: int, N: int, T: float) -> float:
-    """Generating-function form s_l = (T+1)^{1-N} sum_{t=0}^{N-l-1} C(N,t) T^t."""
-    if not 0 <= l <= N - 1:
-        raise ValueError("need 0 <= l <= N-1")
-    return (T + 1.0) ** (1 - N) * partial_binomial_sum(N - l - 1, N, T)
-
-
-def partial_binomial_sum(j: int, N: int, T: float) -> float:
-    """f_{j,N}(T) = sum_{t=0}^{j} C(N,t) T^t (non-negative for T >= -1/N)."""
-    return sum(math.comb(N, t) * T**t for t in range(j + 1))

@@ -37,6 +37,16 @@ class TestNodeSet:
         with pytest.raises(ValueError):
             NodeSet(())
 
+    @pytest.mark.parametrize("values", [(0, 1.5, 2.9), (0, 1.0), ("0", "1"), (Fraction(1), 2)], ids=str)
+    def test_rejects_non_integers(self, values):
+        # a photon number is never truncated to an integer
+        with pytest.raises(TypeError):
+            NodeSet(values)
+
+    def test_numpy_integers(self):
+        ns = NodeSet((np.int64(0), np.int32(3)))
+        assert ns.values == (0, 3) and all(type(v) is int for v in ns)
+
 
 class TestDenseDet:
     def test_identity(self):

@@ -65,6 +65,10 @@ class TestSignalState:
         with pytest.raises(ValueError):
             SignalState((1.0, 1.0))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            SignalState((float("nan"), 0.0))
+
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             SignalState((1.0,))

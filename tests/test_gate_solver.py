@@ -16,19 +16,22 @@ from nssgate.gate_solver import (
     binomial_inverse_rows,
     bs_diagonal_element,
     build_coefficient_matrix,
-    coefficient_matrix_exact,
-    cofactor_closed_form,
     cofactors,
-    denominator_closed_form,
-    det_closed_form,
     find_transmission,
-    numerator_closed_form,
     optimal_transmission,
     secular_polynomial,
     success_probability,
 )
 from nssgate.optimizer import scan_nodes
-from nssgate.polynomials import jacobi, spoly_eval_exact
+from nssgate.polynomials import spoly_eval_exact
+from reference import (
+    coefficient_matrix_exact,
+    cofactor_closed_form,
+    denominator_closed_form,
+    det_closed_form,
+    jacobi,
+    numerator_closed_form,
+)
 
 SEED = 31337
 # gapped sets whose roots lie below the roundoff of float determinants
@@ -81,6 +84,10 @@ class TestBeamSplitter:
     def test_rejects_overunity(self):
         with pytest.raises(ValueError):
             BeamSplitter(1.5)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            BeamSplitter(float("nan"))
 
 
 class TestDiagonalElement:
@@ -137,35 +144,34 @@ class TestCoefficientMatrix:
     def test_split_parts(self):
         nodes = NodeSet.minimal(4)
         bs = BeamSplitter(-0.3)
-        m = build_coefficient_matrix(nodes, bs)
-        assert np.allclose(m.matrix, m.a1 + m.a2)
+        a1, a2 = build_coefficient_matrix(nodes, bs)
         # a1 columns constant in k
-        assert np.allclose(m.a1, m.a1[0])
+        assert np.allclose(a1, a1[0])
         for kk in range(4):
             for l, n in enumerate(nodes):
-                assert m.a2[kk, l] == pytest.approx(bs_diagonal_element(kk, n, bs).real, rel=1e-12)
-                assert m.a1[kk, l] == pytest.approx(bs_diagonal_element(4, n, bs).real, rel=1e-12)
+                assert a2[kk, l] == pytest.approx(bs_diagonal_element(kk, n, bs).real, rel=1e-12)
+                assert a1[kk, l] == pytest.approx(bs_diagonal_element(4, n, bs).real, rel=1e-12)
 
     def test_rejects_zero_transmission(self):
         with pytest.raises(ValueError):
             build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(0.0))
 
     def test_n1_singular_at_minus_one(self):
-        m = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
-        assert abs(dense_det(m.matrix)) <= 1e-12
+        a1, a2 = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
+        assert abs(dense_det(a1 + a2)) <= 1e-12
 
     def test_n2_singular_at_silver_point(self):
-        m = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2)))
-        assert abs(dense_det(m.matrix)) <= 1e-10
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2)))
+        assert abs(dense_det(a1 + a2)) <= 1e-10
 
     def test_exact_build_matches_double(self):
         t = Fraction(-1, 4)
         nodes = NodeSet((0, 2, 3))
         a1, a2 = coefficient_matrix_exact(nodes, t)
-        m = build_coefficient_matrix(nodes, BeamSplitter(float(t)))
+        f1, f2 = build_coefficient_matrix(nodes, BeamSplitter(float(t)))
         for kk in range(3):
             for l in range(3):
-                assert float(a1[kk][l] + a2[kk][l]) == pytest.approx(m.matrix[kk, l], rel=1e-13)
+                assert float(a1[kk][l] + a2[kk][l]) == pytest.approx(f1[kk, l] + f2[kk, l], rel=1e-13)
 
 
 class TestDetClosedForm:
@@ -251,8 +257,8 @@ class TestFindTransmission:
         roots = find_transmission(NodeSet.minimal(5))
         best = min(roots, key=lambda r: abs(r - optimal_transmission(5)))
         assert best == pytest.approx(1 - 2 ** 0.2, abs=1e-10)
-        m = build_coefficient_matrix(NodeSet.minimal(5), BeamSplitter(best))
-        assert abs(dense_det(m.matrix)) <= 1e-10
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(5), BeamSplitter(best))
+        assert abs(dense_det(a1 + a2)) <= 1e-10
 
     def test_roots_sorted_and_validated(self):
         for nodes in (NodeSet.minimal(3), NodeSet((0, 2)), NodeSet((1, 2, 4))):
@@ -260,9 +266,9 @@ class TestFindTransmission:
             assert roots == sorted(roots)
             N = len(nodes)
             for t in roots:
-                m = build_coefficient_matrix(nodes, BeamSplitter(t))
+                a1, a2 = build_coefficient_matrix(nodes, BeamSplitter(t))
                 scale = abs(t * t - 1) ** (N * (N - 1) / 2) if N > 1 else 1.0
-                assert abs(dense_det(m.matrix)) <= DET_TOL * max(scale, 1e-300)
+                assert abs(dense_det(a1 + a2)) <= DET_TOL * max(scale, 1e-300)
 
     @pytest.mark.parametrize(
         "nodes", [tuple(range(N)) for N in range(1, 11)] + [(0, 2), (1, 2, 4), (0, 2, 3, 7)] + list(GAPPED[:3]), ids=str
@@ -372,13 +378,13 @@ class TestRealRoots:
 
 class TestCofactors:
     def test_n1_convention(self):
-        m = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
-        assert cofactors(m, 0).tolist() == [1.0]
+        a1, a2 = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
+        assert cofactors(a1 + a2, 0).tolist() == [1.0]
 
     def test_n2_minors(self):
-        m = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(-0.5))
-        a = m.matrix
-        got = cofactors(m, 1)
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(-0.5))
+        a = a1 + a2
+        got = cofactors(a, 1)
         assert got[0] == pytest.approx(-a[0, 1], rel=1e-12)
         assert got[1] == pytest.approx(a[0, 0], rel=1e-12)
 
@@ -402,19 +408,20 @@ class TestCofactors:
     def test_laplace_on_gate_matrix(self):
         N = 4
         t = optimal_transmission(N)
-        m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-        det = dense_det(m.matrix)
-        cof = cofactors(m, N - 1)
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        a = a1 + a2
+        det = dense_det(a)
+        cof = cofactors(a, N - 1)
         scale = float(np.max(np.abs(cof)))
         for row in range(N):
             want = det if row == N - 1 else 0.0
-            assert float(m.matrix[row] @ cof) == pytest.approx(want, abs=1e-8 * scale)
+            assert float(a[row] @ cof) == pytest.approx(want, abs=1e-8 * scale)
 
     def test_closed_form_n4_at_optimum(self):
         N = 4
         t = optimal_transmission(N)
-        m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-        cof = cofactors(m, N - 1)
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        cof = cofactors(a1 + a2, N - 1)
         for l in range(N):
             assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
 
@@ -422,8 +429,8 @@ class TestCofactors:
         # away from the optimum the second (bracket) term contributes
         N = 5
         for t in (-0.6, 0.35):
-            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-            cof = cofactors(m, N - 1)
+            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            cof = cofactors(a1 + a2, N - 1)
             for l in range(N):
                 assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
 
@@ -490,10 +497,10 @@ class TestSuccessProbability:
         for N in (2, 5, 8, 10):
             t = optimal_transmission(N)
             sol = success_probability(NodeSet.minimal(N), t)
-            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
             w = np.array(sol.alphas) * np.array(sol.gammas)
             for k in range(N):
-                assert float(m.a2[k] @ w) ** 2 == pytest.approx(sol.p, abs=1e-9)
+                assert float(a2[k] @ w) ** 2 == pytest.approx(sol.p, abs=1e-9)
 
     def test_degenerate_matrix_rejected(self):
         # at T = 1 the minimal matrix is rank one for N >= 3
@@ -576,9 +583,9 @@ class TestClosedFormRatio:
         # denominator agrees to machine precision
         for N in range(1, 9):
             t = optimal_transmission(N)
-            m = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-            cof = cofactors(m, N - 1)
-            num = float(np.asarray(cof) @ m.a2[N - 1])
+            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            cof = cofactors(a1 + a2, N - 1)
+            num = float(np.asarray(cof) @ a2[N - 1])
             den = float(np.sum(np.abs(cof))) ** 2
             assert num == pytest.approx(-numerator_closed_form(N, t), rel=1e-8)
             assert den == pytest.approx(denominator_closed_form(N, t), rel=1e-8)

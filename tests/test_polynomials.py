@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from nssgate.polynomials import (
-    SPoly,
     binomial,
-    elementary_sigma,
     gapped_binomial_expand,
-    jacobi,
     oneq_coefficient,
-    partial_binomial_sum,
     spoly_eval,
     spoly_eval_exact,
     spoly_recursion_step,
     symmetric_s,
+)
+from reference import (
+    SPoly,
+    elementary_sigma,
+    jacobi,
+    partial_binomial_sum,
     weight_sequence,
     weight_sequence_resummed,
 )
