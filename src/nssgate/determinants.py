@@ -60,10 +60,6 @@ class NodeSet:
     def __iter__(self):
         return iter(self.values)
 
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
 
 def dense_det(matrix) -> float:
     """Determinant of a real matrix by LU with partial pivoting (deterministic

@@ -1,6 +1,6 @@
 """Two-mode Fock-space beam-splitter simulator.
 
-Independent of the secular polynomial and the binomial inverse of
+Independent of the secular polynomial and the exact weights of
 `gate_solver`: the sector unitaries U_0..U_M of a+ -> T a+ + r b+,
 b+ -> -r a+ + T b+ are built in one pass, one creation operator per photon,
 and the gate is verified end to end by projecting the ancilla back onto its
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate_solver import BeamSplitter, GateSolution, bs_diagonal_element
+from .gate_solver import BeamSplitter, GateSolution, build_coefficient_matrix
 
 __all__ = [
     "SECTOR_CAP",
@@ -77,19 +77,16 @@ def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
     return _sectors(M, bs)[M]
 
 
-def _per_level_amplitudes(sol: GateSolution, N: int, full: bool) -> np.ndarray:
+def _per_level_amplitudes(sol: GateSolution, full: bool) -> np.ndarray:
     bs = BeamSplitter(sol.T)
-    weights = [a * g for a, g in zip(sol.alphas, sol.gammas)]
+    w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
     if full:
         # post-selected on ancilla photon number n, the signal keeps level k
-        sectors = _sectors(N + max(sol.nodes), bs)
-    lam = np.zeros(N + 1)
-    for k in range(N + 1):
-        acc = 0.0
-        for w, n in zip(weights, sol.nodes):
-            acc += w * (sectors[k + n][k, k] if full else bs_diagonal_element(k, n, bs))
-        lam[k] = acc
-    return lam
+        sectors = _sectors(sol.N + max(sol.nodes), bs)
+        return np.array([sum(wl * sectors[k + n][k, k] for wl, n in zip(w, sol.nodes)) for k in range(sol.N + 1)])
+    # the rows of a2 hold the diagonal elements of levels k < N, those of a1 level N
+    a1, a2 = build_coefficient_matrix(sol.nodes, bs)
+    return np.append(a2 @ w, a1[0] @ w)
 
 
 def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):
@@ -104,7 +101,7 @@ def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):
     N = signal.N
     if N != sol.N:
         raise ValueError("signal dimension does not match the gate order")
-    lam = _per_level_amplitudes(sol, N, full)
+    lam = _per_level_amplitudes(sol, full)
     out_raw = np.array(signal.coefficients) * lam
     prob = float(np.sum(np.abs(out_raw) ** 2))
     if prob <= 0.0:

@@ -18,10 +18,10 @@ integer coefficients; no matrix is built on the way from the node set to
 the gate.
 
 Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`;
-the Fock oracle checks the gate through `bs_diagonal_element`.
-`build_coefficient_matrix` and the exact-only `cofactors` are references for
-the tests, and stay in the package only because perfbench/run.py traces them
-by their module path.
+the Fock oracle's default path takes its per-level amplitudes from the rows
+of `build_coefficient_matrix`.  The exact-only `cofactors` is a reference for
+the tests, and stays in the package only because perfbench/run.py traces it
+by its module path.
 
 T is real throughout: `BeamSplitter` stores it as a float and raises
 ValueError for a T with a non-zero imaginary part.
@@ -50,13 +50,12 @@ __all__ = [
     "optimal_transmission",
     "secular_polynomial",
     "find_transmission",
-    "binomial_inverse_rows",
     "cofactors",
     "success_probability",
 ]
 
 # neither the root search nor success_probability needs this cap (with it
-# lifted, minimal N = 15..40 give |p N^2 - 1| <= 5.3e-15); it keeps N within
+# lifted, minimal N = 15..130 give |p N^2 - 1| <= 5.6e-16); it keeps N within
 # what the tests check against the exact-rational and Fock oracles
 PRECISION_CAP = 14
 
@@ -79,7 +78,7 @@ class BeamSplitter:
         t = complex(self.T)
         if t.imag != 0.0:
             raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
-        if not abs(t) <= 1.0 + 1e-12:  # NaN fails this too
+        if not abs(t) <= 1.0:  # NaN fails this too
             raise ValueError(f"|T| must not exceed 1, got {self.T!r}")
         object.__setattr__(self, "T", t.real)
 
@@ -108,7 +107,9 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
     """The float pair (a1, a2), a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] =
     <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1 (photon level k-1 of
-    the 1-based row k); the coefficient matrix is a = a1 + a2."""
+    the 1-based row k); the coefficient matrix is a = a1 + a2.  The Fock
+    oracle's default `apply_gate` contracts these rows with the weights: a2
+    gives the amplitudes of levels k < N, a1 that of level N."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
@@ -253,20 +254,27 @@ def cofactors(matrix, row: int):
     return np.array(out)
 
 
-def binomial_inverse_rows(nodes: NodeSet) -> list:
-    """Integer pairs (M_l, D_l) with row l of C'^{-1} equal to M_l / D_l, where
-    C'[j, l] = C(n_l, j) for j = 0..N-1.
+def _weights(nodes: NodeSet, t) -> list:
+    """u = C'^{-1} y as exact Fractions, C'[j, l] = C(n_l, j) and y_j = s^j with
+    s = -t/(1+t), for a rational or float t (y = (1,) for N = 1).
 
-    D_l = prod_{m != l} (n_l - n_m), and M_l lists the coefficients of
-    prod_{m != l} (x - n_m) in the binomial basis C(x, j), so that
-    sum_j M_l[j] C(n_k, j) = D_l delta_{lk}.
+    Row l of C'^{-1} lists the forward differences Delta^j f_l(0) over f_l(n_l),
+    with f_l(x) = prod_{m != l} (x - n_m).  For any f of degree < N,
+    sum_j Delta^j f(0) s^j = sum_{i<N} c_i f(i), where c_i are the coefficients
+    of y(x - 1) = sum_j s^j (x - 1)^j; so one c, taken over the common
+    denominator (1+t)^{N-1}, serves every row, and f_l(i) = F(i) / (i - n_l)
+    comes from the one product F(x) = prod_m (x - n_m).
     """
-    rows = []
+    N = len(nodes)
+    m, q = t.as_integer_ratio()  # t = m/q, so s = -m/(q+m)
+    c = _shift([(-m) ** k * (q + m) ** (N - 1 - k) for k in range(N)], -1)
+    F = [math.prod(i - n for n in nodes) for i in range(N)]
+    u = []
     for n in nodes:
-        others = [m for m in nodes if m != n]
-        M = _forward_differences([math.prod(i - m for m in others) for i in range(len(nodes))])
-        rows.append((M, math.prod(n - m for m in others)))
-    return rows
+        D = math.prod(n - k for k in nodes if k != n)  # f_l(n_l)
+        num = sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F)))
+        u.append(Fraction(num, D * (q + m) ** (N - 1)))
+    return u
 
 
 @dataclass(frozen=True)
@@ -286,32 +294,29 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
 
     a v = 0 with a1 = 1 f^T makes a2 v a constant vector, so v is a multiple
     of a2^{-1} 1 = D_n^{-1} C'^{-1} y with y_j = s^j and s = -T/(1+T), and
-    C'^{-1} is exact (`binomial_inverse_rows`).  Scaled to a2 v = 1, the
-    weights alpha_l gamma_l = v_l / ||v||_1 give every level k < N the
-    amplitude lambda_k = +1/||v||_1, and at a root lambda_N = f^T v / ||v||_1
-    = -1/||v||_1, so p = 1/||v||_1^2.  v is computed times the positive
-    |T|^{max n}, which forms no negative power of T.
+    C'^{-1} y is exact (`_weights`) and rounded once per weight.  Scaled to
+    a2 v = 1, the weights alpha_l gamma_l = v_l / ||v||_1 give every level
+    k < N the amplitude lambda_k = +1/||v||_1, and at a root lambda_N =
+    f^T v / ||v||_1 = -1/||v||_1, so p = 1/||v||_1^2.  v is computed times the
+    positive |T|^{max n}, which forms no negative power of T.
 
     Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
-    enters.  Any other T raises ValueError.
+    enters.  Any other T raises ValueError, and so do photon numbers for which
+    ||v||_1 (so scaled) overflows or underflows to 0.
     """
     t = BeamSplitter(T).T
     N = len(nodes)
     if not (0.0 < abs(t) < 1.0 or (N == 1 and t == -1.0)):
         raise ValueError("success_probability needs 0 < |T| < 1 (or T = -1 for N = 1)")
-    s = -t / (1.0 + t) if N > 1 else 0.0
     top = max(nodes)
     sign = -1.0 if t < 0 else 1.0
-    v = []
     try:
-        for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes)):
-            acc = float(M[-1])
-            for c in reversed(M[:-1]):
-                acc = acc * s + c
-            v.append(acc / D * abs(t) ** (top - n) * sign**n)
+        v = [float(u) * abs(t) ** (top - n) * sign**n for n, u in zip(nodes, _weights(nodes, t))]
+        total = math.fsum(abs(x) for x in v)
     except OverflowError:
-        raise ValueError("photon numbers too large: the exact inverse of C(n_l, j) has entries beyond the float range") from None
-    total = math.fsum(abs(x) for x in v)
+        total = math.inf
+    if not 0.0 < total < math.inf:
+        raise ValueError("photon numbers too large: the weights leave the float range")
     mags = [math.sqrt(abs(x) / total) for x in v]
     return GateSolution(
         N=N,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nssgate
 from nssgate.cli import main
 from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, target_state
@@ -131,7 +132,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("n, nodes", [("2", f"0,{10**320}"), ("3", f"0,1,{10**200}")], ids=["n2", "n3"])
     def test_photon_numbers_beyond_float_range_exit_1(self, capsys, n, nodes):
-        # the exact weights of these node sets do not fit in a float
+        # ||v||_1 of these node sets leaves the float range (it underflows to 0 or overflows)
         code, out, err = run(capsys, "solve", "--n", n, "--nodes", nodes)
         assert code == 1
         assert out == ""
@@ -200,8 +201,9 @@ class TestSolve:
         # the read end is closed before the child starts, so its first write fails
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the child imports the nssgate under test: the source tree or the installed package
+        home = str(Path(nssgate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")])))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "nssgate.cli", "solve", "--n", "2"],

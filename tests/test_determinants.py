@@ -22,7 +22,6 @@ class TestNodeSet:
         ns = NodeSet((0, 2, 5))
         assert list(ns) == [0, 2, 5]
         assert len(ns) == 3
-        assert ns.total == 7
 
     def test_minimal(self):
         assert NodeSet.minimal(4).values == (0, 1, 2, 3)

@@ -13,7 +13,7 @@ from nssgate.gate_solver import (
     BeamSplitter,
     _polymul,
     _real_roots,
-    binomial_inverse_rows,
+    _weights,
     bs_diagonal_element,
     build_coefficient_matrix,
     cofactors,
@@ -84,6 +84,12 @@ class TestBeamSplitter:
     def test_rejects_overunity(self):
         with pytest.raises(ValueError):
             BeamSplitter(1.5)
+
+    @pytest.mark.parametrize("T", [1 + 1e-12, -1 - 1e-12, math.nextafter(1.0, 2.0)], ids=["1e-12", "-1e-12", "ulp"])
+    def test_rejects_any_excess_over_unity(self, T):
+        # with r clamped to 0, such a T would make diagonal elements above 1
+        with pytest.raises(ValueError, match="must not exceed 1"):
+            BeamSplitter(T)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -455,9 +461,9 @@ class TestCofactors:
 
 
 def _exact_null_vector(nodes, t):
-    """v = D_n^{-1} C'^{-1} y in rationals, y_j = s^j, s = -t/(1+t) (y = (1,) for N = 1)."""
-    s = -t / (1 + t) if len(nodes) > 1 else Fraction(0)
-    return [sum(c * s**j for j, c in enumerate(M)) / D / t**n for n, (M, D) in zip(nodes, binomial_inverse_rows(nodes))]
+    """v = D_n^{-1} C'^{-1} y in rationals, y_j = s^j, s = -t/(1+t) (y = (1,) for N = 1),
+    from the weights that success_probability rounds."""
+    return [u / t**n for n, u in zip(nodes, _weights(nodes, t))]
 
 
 def _exact_p(nodes, t):
@@ -481,6 +487,16 @@ class TestSuccessProbability:
         for N in range(3, 15):
             sol = success_probability(NodeSet.minimal(N), optimal_transmission(N))
             assert sol.p * N**2 == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("N", [20, 50, 100, 130])
+    def test_scaling_law_past_the_cap(self, N):
+        sol = success_probability(NodeSet.minimal(N), optimal_transmission(N))
+        assert abs(sol.p * N**2 - 1) <= 1e-14
+
+    def test_weights_underflow_raises(self):
+        # at N = 150, |T|^{N-1} scales every weight below the float range
+        with pytest.raises(ValueError, match="float range"):
+            success_probability(NodeSet.minimal(150), optimal_transmission(150))
 
     def test_weight_normalizations(self):
         N = 6
@@ -512,14 +528,15 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(NodeSet.minimal(2), t)
 
-    def test_binomial_inverse_is_exact(self):
-        # sum_j M_l[j] C(n_k, j) = D_l delta_lk, in integers
+    @pytest.mark.parametrize("t", [Fraction(-3, 7), Fraction(1, 1000), Fraction(-999, 1000), 0.3, optimal_transmission(9)], ids=str)
+    def test_weights_solve_the_binomial_system(self, t):
+        # sum_l C(n_l, j) u_l = s^j for j = 0..N-1, in rationals
+        s = -Fraction(t) / (1 + Fraction(t))
         for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4])):
-            rows = binomial_inverse_rows(nodes)
-            assert len(rows) == len(nodes) and all(len(M) == len(nodes) for M, _ in rows)
-            for (M, D), n in zip(rows, nodes):
-                for nk in nodes:
-                    assert sum(c * math.comb(nk, j) for j, c in enumerate(M)) == (D if nk == n else 0)
+            u = _weights(nodes, t)
+            assert len(u) == len(nodes) and all(type(x) is Fraction for x in u)
+            for j in range(len(nodes)):
+                assert sum(math.comb(n, j) * x for n, x in zip(nodes, u)) == s**j, (nodes, j)
 
     def test_null_vector_exact(self):
         # a2 v = 1 and a v = P(t)/t^N 1 in rationals, so a1 v = -1 wherever P(t) = 0
