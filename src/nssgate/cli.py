@@ -21,7 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .determinants import NodeSet, exact_det, gapped_vandermonde, spoly_matrix, vandermonde_S, vandermonde_power
+from .determinants import (
+    NodeSet,
+    exact_det,
+    gapped_vandermonde,
+    gapped_vandermonde_S,
+    spoly_matrix,
+    vandermonde_S,
+    vandermonde_power,
+)
 from .fock_oracle import SignalState, apply_gate, fidelity, target_state
 from .gate_solver import BISECT_TOL
 from .optimizer import scan_nodes, sweep
@@ -268,7 +276,7 @@ def _suite_c(rng) -> list:
         for gap in range(N):
             nodes = NodeSet(tuple(v for v in range(N) if v != gap))
             got = vandermonde_power(nodes)
-            want = gapped_vandermonde(N, gap).power
+            want = gapped_vandermonde(N, gap)
             worst = max(worst, abs(got - want))
             count += 1
     results.append({"identity": "gapped_vandermonde_power_exact", "instances": count, "max_residual": float(worst), "pass": worst == 0})
@@ -280,7 +288,7 @@ def _suite_c(rng) -> list:
         x = _rand_x(rng)
         nodes = NodeSet(tuple(v for v in range(N) if v != gap))
         det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
-        want = gapped_vandermonde(N, gap).s_basis(float(x))
+        want = gapped_vandermonde_S(N, gap, float(x))
         worst = max(worst, abs(det - want) / max(abs(want), 1e-300))
     results.append({"identity": "gapped_vandermonde_S_basis", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
 

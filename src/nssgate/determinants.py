@@ -1,6 +1,9 @@
 """Vandermonde determinants over the power basis and the S-polynomial basis.
 
-Also the exact Bareiss determinant, the gapped Vandermondians that the
+Also `exact_det`, the exact determinant of a rational matrix: each row is
+scaled to integers once, by the lcm of its denominators, and Bareiss's
+fraction-free elimination (Math. Comp. 22, 565 (1968)) runs on the integers,
+where every division is exact.  Then the gapped Vandermondians that the
 `identities` suites check, and `dense_det`, a float LU determinant that no
 module calls: the tests use it as a reference, and it stays in the package
 only because perfbench/run.py traces it by its module path.
@@ -26,7 +29,7 @@ __all__ = [
     "vandermonde_S",
     "spoly_matrix",
     "gapped_vandermonde",
-    "GappedVandermonde",
+    "gapped_vandermonde_S",
 ]
 
 
@@ -91,28 +94,27 @@ def dense_det(matrix) -> float:
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
-    """Fraction-free Bareiss determinant over exact rationals."""
+    """Exact determinant: Bareiss on the rows scaled once to integers (exact
+    `//`, no gcd), over the product of the row scales.  0x0 gives Fraction(1)."""
     m = [[Fraction(v) for v in row] for row in rows]
     n = len(m)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
+    scales = [math.lcm(*(v.denominator for v in row)) for row in m]
+    a = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(m, scales)]
+    sign = prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            a[col], a[piv] = a[piv], a[col]
             sign = -sign
         for r in range(col + 1, n):
             for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) / prev
-            m[r][col] = Fraction(0)
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
+        prev = a[col][col]
+    return Fraction(sign * prev, math.prod(scales))
 
 
 def vandermonde_power(nodes: NodeSet) -> int:
@@ -143,25 +145,15 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
     return np.array([[spoly_eval(k, x, n) for n in nodes] for k in range(N)])
 
 
-@dataclass(frozen=True)
-class GappedVandermonde:
-    """Vandermondian over {0..N-1} minus one node, in both bases."""
-
-    N: int
-    gap: int
-    power: int  # V_{N-1} * C(N-1, gap), exact
-
-    def s_basis(self, x: float) -> float:
-        """(x^2-1)^{(N-1)(N-2)/2} C(N-1, gap)."""
-        e = (self.N - 1) * (self.N - 2) // 2
-        return (x * x - 1.0) ** e * math.comb(self.N - 1, self.gap)
-
-
-def gapped_vandermonde(N: int, gap: int) -> GappedVandermonde:
-    """Vandermondian of {0,...,N-1}\\{gap}: equals V_{N-1} * C(N-1, gap)."""
+def gapped_vandermonde(N: int, gap: int) -> int:
+    """Vandermondian of {0,...,N-1}\\{gap}: equals V_{N-1} * C(N-1, gap), exact."""
     if not 0 <= gap <= N - 1:
         raise ValueError("gap must lie in [0, N-1]")
-    v_nm1 = 1
-    for k in range(N - 1):
-        v_nm1 *= math.factorial(k)
-    return GappedVandermonde(N=N, gap=gap, power=v_nm1 * math.comb(N - 1, gap))
+    return math.prod(math.factorial(k) for k in range(N - 1)) * math.comb(N - 1, gap)
+
+
+def gapped_vandermonde_S(N: int, gap: int, x: float) -> float:
+    """S-basis Vandermondian of the same nodes: (x^2-1)^{(N-1)(N-2)/2} C(N-1, gap)."""
+    if not 0 <= gap <= N - 1:
+        raise ValueError("gap must lie in [0, N-1]")
+    return (x * x - 1.0) ** ((N - 1) * (N - 2) // 2) * math.comb(N - 1, gap)

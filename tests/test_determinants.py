@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nssgate.determinants import (
     dense_det,
     exact_det,
     gapped_vandermonde,
+    gapped_vandermonde_S,
     spoly_matrix,
     vandermonde_S,
     vandermonde_power,
@@ -84,6 +86,64 @@ class TestDenseDet:
             assert dense_det(m.astype(float)) == pytest.approx(float(exact_det(m.tolist())), rel=1e-10, abs=1e-10)
 
 
+
+def _leibniz(m):
+    """Permutation-sum determinant in Fractions, the reference for exact_det."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod((Fraction(m[i][j]) for i, j in enumerate(perm)), start=Fraction(1))
+    return total
+
+
+class TestExactDet:
+    def test_empty_is_one(self):
+        det = exact_det([])
+        assert det == 1 and type(det) is Fraction
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[]]], ids=["nonsquare", "ragged", "empty-row"])
+    def test_rejects_nonsquare(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            exact_det(rows)
+
+    def test_zero_leading_entry_swaps_rows(self):
+        assert exact_det([[0, 1], [1, 0]]) == -1
+        assert exact_det([[0, 2, 0], [3, 0, 0], [0, 0, 5]]) == -30
+        assert exact_det([[0, Fraction(1, 3)], [Fraction(2, 7), 5]]) == Fraction(-2, 21)
+
+    def test_singular_rational_is_zero(self):
+        r = [Fraction(1, 3), Fraction(2, 7), 0.5]
+        det = exact_det([r, [2 * v for v in r], [Fraction(1, 5), 0.25, 3]])
+        assert det == 0 and type(det) is Fraction
+
+    def test_integer_input_returns_fraction(self):
+        for rows in ([[2, 1], [1, 3]], np.array([[2, 1], [1, 3]], dtype=np.int64)):
+            det = exact_det(rows)
+            assert det == 5 and type(det) is Fraction
+
+    def test_matches_leibniz_on_mixed_denominators(self):
+        # rows mix thirds, sevenths, ... with binary floats and zeros, so the
+        # row scales differ and some leading entries vanish
+        rng = np.random.default_rng(SEED)
+        for n in range(1, 7):
+            for _ in range(4):
+                rows = []
+                for _ in range(n):
+                    row = []
+                    for _ in range(n):
+                        kind = rng.integers(0, 4)
+                        if kind == 0:
+                            row.append(0)
+                        elif kind == 1:
+                            row.append(float(rng.normal()))
+                        else:
+                            q = int(rng.choice([3, 5, 6, 7, 9, 11, 13]))
+                            row.append(Fraction(int(rng.integers(-20, 21)), q))
+                    rows.append(row)
+                assert exact_det(rows) == _leibniz(rows), rows
+
+
 def test_vandermonde_power_examples():
     assert vandermonde_power(NodeSet((0, 1))) == 1
     assert vandermonde_power(NodeSet((0, 1, 2))) == 2
@@ -127,19 +187,24 @@ def test_vandermonde_S_product_rule_random():
 
 
 def test_gapped_examples():
-    assert gapped_vandermonde(2, 0).power == 1
-    assert gapped_vandermonde(4, 1).power == 6
+    assert gapped_vandermonde(2, 0) == 1
+    assert gapped_vandermonde(4, 1) == 6
     assert vandermonde_power(NodeSet((0, 2, 3))) == 6
-    assert gapped_vandermonde(5, 2).power == 72
+    assert gapped_vandermonde(5, 2) == 72
     with pytest.raises(ValueError):
         gapped_vandermonde(4, 4)
 
+
+def test_gapped_S_rejects_gap_out_of_range():
+    for N, gap in ((4, 4), (4, -1), (1, 1)):
+        with pytest.raises(ValueError, match="gap"):
+            gapped_vandermonde_S(N, gap, 0.3)
 
 def test_gapped_power_exact_all_gaps():
     for N in range(2, 11):
         for gap in range(N):
             nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-            assert vandermonde_power(nodes) == gapped_vandermonde(N, gap).power
+            assert vandermonde_power(nodes) == gapped_vandermonde(N, gap)
 
 
 def test_gapped_s_basis_random_x():
@@ -149,7 +214,7 @@ def test_gapped_s_basis_random_x():
             x = Fraction(int(rng.integers(-949, 950)), 1000)
             nodes = NodeSet(tuple(v for v in range(N) if v != gap))
             det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
-            assert det == pytest.approx(gapped_vandermonde(N, gap).s_basis(float(x)), rel=1e-10)
+            assert det == pytest.approx(gapped_vandermonde_S(N, gap, float(x)), rel=1e-10)
 
 
 def test_column_splitting_lemma():
