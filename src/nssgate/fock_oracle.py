@@ -21,6 +21,8 @@ __all__ = [
     "SECTOR_CAP",
     "SignalState",
     "bs_sector_unitary",
+    "gate_amplitudes",
+    "post_select",
     "apply_gate",
     "target_state",
     "fidelity",
@@ -77,16 +79,34 @@ def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
     return _sectors(M, bs)[M]
 
 
-def _per_level_amplitudes(sol: GateSolution, full: bool) -> np.ndarray:
+def gate_amplitudes(sol: GateSolution, full: bool = False) -> np.ndarray:
+    """lambda_0..lambda_N: post-selected, signal level k comes out times lambda_k.
+
+    By default the weights alpha_l gamma_l contract the rows of
+    `build_coefficient_matrix` (a2 for k < N, a1 for k = N), for any N.  With
+    full=True each diagonal element comes from the sector unitaries, built
+    once up to N + max n <= SECTOR_CAP (photon-number selection-rule check).
+    """
     bs = BeamSplitter(sol.T)
     w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
     if full:
         # post-selected on ancilla photon number n, the signal keeps level k
         sectors = _sectors(sol.N + max(sol.nodes), bs)
         return np.array([sum(wl * sectors[k + n][k, k] for wl, n in zip(w, sol.nodes)) for k in range(sol.N + 1)])
-    # the rows of a2 hold the diagonal elements of levels k < N, those of a1 level N
     a1, a2 = build_coefficient_matrix(sol.nodes, bs)
     return np.append(a2 @ w, a1[0] @ w)
+
+
+def post_select(signal: SignalState, lam: np.ndarray):
+    """(output SignalState, acceptance probability) of the signal through a
+    gate with per-level amplitudes lam (`gate_amplitudes`)."""
+    if len(lam) != signal.N + 1:
+        raise ValueError("signal dimension does not match the gate order")
+    out_raw = np.array(signal.coefficients) * lam
+    prob = float(np.sum(np.abs(out_raw) ** 2))
+    if prob <= 0.0:
+        raise ValueError("post-selection never succeeds for this input")
+    return SignalState(tuple(out_raw / math.sqrt(prob))), prob
 
 
 def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):
@@ -94,20 +114,11 @@ def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):
 
     Returns (output SignalState, probability, per-level amplitudes lambda_k).
     The gate works when all |lambda_k| coincide and lambda_N = -lambda_k for
-    k < N; the acceptance probability is then |lambda_0|^2.  With full=True
-    the amplitudes are accumulated from the complete sector unitaries instead
-    of the diagonal-element formula (photon-number selection-rule check).
+    k < N; the acceptance probability is then |lambda_0|^2.  For many signals
+    through one gate, call `gate_amplitudes` once and `post_select` per signal.
     """
-    N = signal.N
-    if N != sol.N:
-        raise ValueError("signal dimension does not match the gate order")
-    lam = _per_level_amplitudes(sol, full)
-    out_raw = np.array(signal.coefficients) * lam
-    prob = float(np.sum(np.abs(out_raw) ** 2))
-    if prob <= 0.0:
-        raise ValueError("post-selection never succeeds for this input")
-    out = out_raw / math.sqrt(prob)
-    return SignalState(tuple(out)), prob, lam
+    lam = gate_amplitudes(sol, full)
+    return (*post_select(signal, lam), lam)
 
 
 def target_state(signal: SignalState) -> SignalState:

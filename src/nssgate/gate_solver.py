@@ -17,30 +17,25 @@ The gate transmissions are the real roots of P, isolated exactly from its
 integer coefficients; no matrix is built on the way from the node set to
 the gate.
 
-Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`;
-the Fock oracle's default path takes its per-level amplitudes from the rows
-of `build_coefficient_matrix`.  The exact-only `cofactors` is a reference for
-the tests, and stays in the package only because perfbench/run.py traces it
-by its module path.
-
-T is real throughout: `BeamSplitter` stores it as a float and raises
-ValueError for a T with a non-zero imaginary part.
-
-Matrix rows are indexed k = 1..N but stored 0-based, so row index kk
-corresponds to photon level k = kk+1 and a2[kk, l] is the beam-splitter
-diagonal element for photon level kk.
+Every matrix element is T^{n-k} S_k^{(T)}(n), with S from `polynomials`,
+and T is real throughout (`BeamSplitter`).  Nothing limits N: the roots,
+the weights and the elements are exact until one final rounding.  The
+exact-only `cofactors` is a reference for the tests, and stays in the
+package only because perfbench/run.py traces it by its module path.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .determinants import NodeSet, exact_det
-from .polynomials import spoly_eval
+from .polynomials import spoly_eval_exact
 
 __all__ = [
     "BeamSplitter",
@@ -54,12 +49,11 @@ __all__ = [
     "success_probability",
 ]
 
-# neither the root search nor success_probability needs this cap (with it
-# lifted, minimal N = 15..130 give |p N^2 - 1| <= 5.6e-16); it keeps N within
-# what the tests check against the exact-rational and Fock oracles
-PRECISION_CAP = 14
-
 BISECT_TOL = 1e-13  # relative width to which find_transmission brackets each root
+
+# success_probability's arithmetic: 34 digits over exponents of about +-10^18
+DECIMAL_CONTEXT = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+DECIMAL_CONTEXT.traps[decimal.Underflow] = True  # a subnormal result would lose digits
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,15 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
 
         T^{n-k} P_k^{(0,n-k)}(2T^2-1) = T^{n-k} S_k^{(T)}(n).
 
-    S is summed exactly and rounded once (`spoly_eval`), which avoids the
-    cancellation of its alternating terms, and T^{n-k} is one float power.
+    The product is exact at the float T (`spoly_eval_exact`: no cancellation)
+    and rounded once; an element of a unitary, it never overflows.
     """
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
     t = bs.T
     if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
-    return t ** (n - k) * spoly_eval(k, t, n)
+    return float(Fraction(t) ** (n - k) * spoly_eval_exact(k, t, n))
 
 
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
@@ -255,8 +249,9 @@ def cofactors(matrix, row: int):
 
 
 def _weights(nodes: NodeSet, t) -> list:
-    """u = C'^{-1} y as exact Fractions, C'[j, l] = C(n_l, j) and y_j = s^j with
-    s = -t/(1+t), for a rational or float t (y = (1,) for N = 1).
+    """u = C'^{-1} y as exact integer pairs (numerator, denominator), C'[j, l] =
+    C(n_l, j) and y_j = s^j with s = -t/(1+t), for a rational or float t
+    (y = (1,) for N = 1).
 
     Row l of C'^{-1} lists the forward differences Delta^j f_l(0) over f_l(n_l),
     with f_l(x) = prod_{m != l} (x - n_m).  For any f of degree < N,
@@ -273,8 +268,14 @@ def _weights(nodes: NodeSet, t) -> list:
     for n in nodes:
         D = math.prod(n - k for k in nodes if k != n)  # f_l(n_l)
         num = sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F)))
-        u.append(Fraction(num, D * (q + m) ** (N - 1)))
+        u.append((num, D * (q + m) ** (N - 1)))
     return u
+
+
+def _to_decimal(num: int, den: int) -> Decimal:
+    """num/den in the current context, via a 128-bit quotient: Decimal(int) takes quadratic time."""
+    shift = 128 + den.bit_length() - num.bit_length()
+    return ((num << max(shift, 0)) // (den << max(-shift, 0))) * Decimal(2) ** -shift
 
 
 @dataclass(frozen=True)
@@ -294,35 +295,30 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
 
     a v = 0 with a1 = 1 f^T makes a2 v a constant vector, so v is a multiple
     of a2^{-1} 1 = D_n^{-1} C'^{-1} y with y_j = s^j and s = -T/(1+T), and
-    C'^{-1} y is exact (`_weights`) and rounded once per weight.  Scaled to
-    a2 v = 1, the weights alpha_l gamma_l = v_l / ||v||_1 give every level
-    k < N the amplitude lambda_k = +1/||v||_1, and at a root lambda_N =
-    f^T v / ||v||_1 = -1/||v||_1, so p = 1/||v||_1^2.  v is computed times the
-    positive |T|^{max n}, which forms no negative power of T.
+    u = C'^{-1} y is exact (`_weights`).  Scaled to a2 v = 1, the weights
+    alpha_l gamma_l = v_l / ||v||_1 give every level k < N the amplitude
+    lambda_k = +1/||v||_1, and at a root lambda_N = f^T v / ||v||_1 =
+    -1/||v||_1, so p = 1/||v||_1^2.  v_l = u_l / T^{n_l} is evaluated as it
+    stands, to 34 digits in `DECIMAL_CONTEXT`, and p and each weight are
+    rounded once to a float.
 
     Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
-    enters.  Any other T raises ValueError, and so do photon numbers for which
-    ||v||_1 (so scaled) overflows or underflows to 0.
+    enters.  Any other T raises ValueError, and so do photon numbers whose
+    power T^n leaves even the decimal exponent range.
     """
     t = BeamSplitter(T).T
     N = len(nodes)
     if not (0.0 < abs(t) < 1.0 or (N == 1 and t == -1.0)):
         raise ValueError("success_probability needs 0 < |T| < 1 (or T = -1 for N = 1)")
-    top = max(nodes)
-    sign = -1.0 if t < 0 else 1.0
     try:
-        v = [float(u) * abs(t) ** (top - n) * sign**n for n, u in zip(nodes, _weights(nodes, t))]
-        total = math.fsum(abs(x) for x in v)
-    except OverflowError:
-        total = math.inf
-    if not 0.0 < total < math.inf:
-        raise ValueError("photon numbers too large: the weights leave the float range")
-    mags = [math.sqrt(abs(x) / total) for x in v]
-    return GateSolution(
-        N=N,
-        T=t,
-        nodes=nodes,
-        alphas=tuple(math.copysign(m, x) for m, x in zip(mags, v)),
-        gammas=tuple(mags),
-        p=(abs(t) ** top / total) ** 2,
-    )
+        with decimal.localcontext(DECIMAL_CONTEXT):
+            tn = Decimal(t)
+            v = [_to_decimal(num, den) / tn**n for n, (num, den) in zip(nodes, _weights(nodes, t))]
+            total = sum(abs(x) for x in v)
+            ratios = [float(x / total) for x in v]
+            p = float(1 / (total * total))
+    except ArithmeticError:
+        raise ValueError("photon numbers too large: T^n leaves the decimal exponent range") from None
+    mags = [math.sqrt(abs(r)) for r in ratios]
+    alphas = tuple(math.copysign(m, r) for m, r in zip(mags, ratios))
+    return GateSolution(N=N, T=t, nodes=nodes, alphas=alphas, gammas=tuple(mags), p=p)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .determinants import NodeSet
-from .gate_solver import PRECISION_CAP, GateSolution, find_transmission, success_probability
+from .gate_solver import GateSolution, find_transmission, success_probability
 
 __all__ = ["ScanEntry", "ScanReport", "scan_nodes", "sweep"]
 
@@ -33,34 +33,26 @@ class ScanReport:
     best: Optional[ScanEntry] = field(default=None)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "nodes": list(self.nodes),
             "entries": [{"T_re": e.T, "T_im": 0.0, "p": e.p} for e in self.entries],
             "skipped": [{"T_re": t, "T_im": 0.0, "reason": r} for t, r in self.skipped],
+            "best": None if self.best is None else {"T_re": self.best.T, "T_im": 0.0, "p": self.best.p},
         }
-        d["best"] = None
-        if self.best is not None:
-            d["best"] = {"T_re": self.best.T, "T_im": 0.0, "p": self.best.p}
-        return d
 
 
 def scan_nodes(nodes: NodeSet) -> ScanReport:
-    """Enumerate the roots of det(a) for this node set and evaluate p at each."""
-    if len(nodes) > PRECISION_CAP:
-        raise ValueError(f"N={len(nodes)} exceeds the double-precision cap {PRECISION_CAP}")
-    entries = []
-    for t in find_transmission(nodes):
-        sol = success_probability(nodes, t)
-        entries.append(ScanEntry(T=t, p=sol.p, solution=sol))
+    """Enumerate the roots of det(a) for this node set and evaluate p at each,
+    for any N; photon numbers whose T^n leave the decimal range raise ValueError."""
+    sols = [success_probability(nodes, t) for t in find_transmission(nodes)]
+    entries = tuple(ScanEntry(T=s.T, p=s.p, solution=s) for s in sols)
     best = max(entries, key=lambda e: e.p, default=None)  # the first on ties
-    return ScanReport(nodes=nodes, entries=tuple(entries), skipped=(), best=best)
+    return ScanReport(nodes=nodes, entries=entries, skipped=(), best=best)
 
 
 def sweep(n_min: int, n_max: int) -> list:
     """Scaling table for minimal nodes: the best GateSolution of each N = n_min..n_max."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    if n_max > PRECISION_CAP:
-        raise ValueError(f"n_max exceeds the double-precision cap {PRECISION_CAP}")
     bests = (scan_nodes(NodeSet.minimal(N)).best for N in range(n_min, n_max + 1))
     return [best.solution for best in bests if best is not None]

@@ -25,6 +25,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _meets_closed_forms(N, T, p):
+    """T = 1 - 2^{1/N} and p = 1/N^2 to 1e-14 (T absolute, p relative)."""
+    return abs(T + math.expm1(math.log(2) / N)) <= 1e-14 and abs(p * N**2 - 1) <= 1e-14
+
+
 class TestSolve:
     def test_n2_landmark(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "2")
@@ -122,17 +127,17 @@ class TestSolve:
         assert doc["solution"]["p"] == pytest.approx(0.25, abs=1e-8)
 
     def test_huge_photon_number(self, capsys):
-        # T^-999999 would overflow; the weights are scaled by |T|^max(n) instead
+        # T^-999999 leaves the float range; the weights are evaluated in decimal
         code, out, err = run(capsys, "solve", "--n", "3", "--nodes", "0,1,999999")
         assert code == 0
         assert err == ""
         sol = json.loads(out)["solution"]
-        assert 0.0 < sol["p"] < 1e-9
+        assert sol["p"] == pytest.approx(1.0250946808188e-10, rel=1e-14, abs=0)
         assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, nodes", [("2", f"0,{10**320}"), ("3", f"0,1,{10**200}")], ids=["n2", "n3"])
     def test_photon_numbers_beyond_float_range_exit_1(self, capsys, n, nodes):
-        # ||v||_1 of these node sets leaves the float range (it underflows to 0 or overflows)
+        # T^n of these photon numbers leaves even the decimal exponent range
         code, out, err = run(capsys, "solve", "--n", n, "--nodes", nodes)
         assert code == 1
         assert out == ""
@@ -191,11 +196,11 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
-    def test_precision_cap_exit_1(self, capsys):
+    def test_n15_meets_the_closed_forms(self, capsys):
         code, out, err = run(capsys, "solve", "--n", "15")
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1 and "cap" in err
+        assert code == 0 and err == ""
+        sol = json.loads(out)["solution"]
+        assert _meets_closed_forms(15, sol["T_re"], sol["p"])
 
     def test_closed_stdout_exit_1(self):
         # the read end is closed before the child starts, so its first write fails
@@ -267,11 +272,13 @@ class TestSweep:
         assert code == 1
         assert "error" in err
 
-    def test_precision_cap_exit_1(self, capsys):
-        code, out, err = run(capsys, "sweep", "--n-min", "1", "--n-max", "15")
-        assert code == 1
-        assert out == ""
-        assert "cap" in err
+    @pytest.mark.parametrize("n_min, n_max", [(1, 15), (99, 100)])
+    def test_rows_meet_the_closed_forms(self, capsys, n_min, n_max):
+        code, out, err = run(capsys, "sweep", "--n-min", str(n_min), "--n-max", str(n_max))
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["N"] for r in rows] == list(range(n_min, n_max + 1))
+        assert all(_meets_closed_forms(r["N"], r["T_re"], r["p"]) for r in rows)
 
 
 class TestVerify:
@@ -295,10 +302,13 @@ class TestVerify:
         assert out == ""
         assert "trials" in err and err.count("\n") == 1
 
-    def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "40")
-        assert code == 1
-        assert "cap" in err
+    def test_n40_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "40")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True and doc["trials"] == 100
+        assert _meets_closed_forms(40, doc["T_re"], 1 / 40**2)
+        assert doc["max_fidelity_error"] <= 1e-12 and doc["max_prob_error"] <= 1e-12
 
 
 class TestIdentities:

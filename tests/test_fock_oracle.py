@@ -11,6 +11,8 @@ from nssgate.fock_oracle import (
     apply_gate,
     bs_sector_unitary,
     fidelity,
+    gate_amplitudes,
+    post_select,
     target_state,
 )
 from nssgate.gate_solver import (
@@ -46,11 +48,9 @@ def _expanded_sector(M, bs):
     return u
 
 
-def _full_lambda_error(sol):
-    """max_k |lambda_k - (+sqrt p, ..., +sqrt p, -sqrt p)_k| / sqrt p on the
-    full=True path."""
-    c = np.ones(sol.N + 1) / math.sqrt(sol.N + 1)
-    _, _, lam = apply_gate(SignalState(tuple(c)), sol, full=True)
+def _lambda_error(sol, full):
+    """max_k |lambda_k - (+sqrt p, ..., +sqrt p, -sqrt p)_k| / sqrt p."""
+    lam = gate_amplitudes(sol, full)
     want = np.full(sol.N + 1, math.sqrt(sol.p))
     want[-1] = -want[-1]
     return float(np.max(np.abs(lam - want))) / math.sqrt(sol.p)
@@ -181,14 +181,14 @@ class TestApplyGate:
         for N in range(2, 7):
             for nodes in itertools.combinations(range(N + 4), N):
                 best = scan_nodes(NodeSet(nodes)).best
-                assert _full_lambda_error(best.solution) <= 1e-10, nodes
+                assert _lambda_error(best.solution, full=True) <= 1e-10, nodes
                 gates += 1
         assert gates == 456
 
     def test_full_projection_on_gapped_n14(self):
         # photon sectors up to M = 30; measured 1.9e-9 relative to sqrt p
         best = scan_nodes(NodeSet((1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16))).best
-        assert _full_lambda_error(best.solution) <= 2.5e-9
+        assert _lambda_error(best.solution, full=True) <= 2.5e-9
 
     def test_gate_is_diagonal_on_basis_states(self):
         sol = _solve(3)
@@ -199,6 +199,23 @@ class TestApplyGate:
             amps = np.abs(np.array(out.coefficients))
             assert amps[k] == pytest.approx(1.0, abs=1e-12)
             assert np.sum(amps) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("N", [20, 50])
+    def test_default_path_past_fourteen(self, N):
+        # the exact diagonal elements have no N limit; measured 3.2e-15 at
+        # N = 20 and 4.5e-15 at N = 50 relative to sqrt p
+        assert _lambda_error(_solve(N), full=False) <= 1e-12
+
+    def test_post_select_reuses_the_amplitudes(self):
+        sol = _solve(5)
+        lam = gate_amplitudes(sol)
+        rng = np.random.default_rng(SEED)
+        for _ in range(5):
+            c = rng.normal(size=6) + 1j * rng.normal(size=6)
+            s = SignalState(tuple(c / np.linalg.norm(c)))
+            out, p = post_select(s, lam)
+            want_out, want_p, want_lam = apply_gate(s, sol)
+            assert out == want_out and p == want_p and np.array_equal(lam, want_lam)
 
     def test_dimension_mismatch_rejected(self):
         sol = _solve(2)

@@ -122,8 +122,7 @@ class TestDiagonalElement:
     def test_matches_exact_fock_expansion(self):
         # against sum_i C(k,i) C(n,k-i) t^{n-k+2i} (t^2-1)^{k-i}, the coefficient
         # of a+^k b+^n in (t a+ + r b+)^k (-r a+ + t b+)^n, summed exactly at the
-        # float T: S is rounded once and T^{n-k} is one float power, so the
-        # element is good to about 2 ulp (worst measured 2.5e-16)
+        # float T: the element is the exact product rounded once
         for T in (-0.95, -0.7, 1 - math.sqrt(2), 1 - 2 ** (1 / 14), -0.1, 0.3, 0.6, 0.9, 0.99):
             t = Fraction(T)
             bs = BeamSplitter(T)
@@ -133,7 +132,17 @@ class TestDiagonalElement:
                         math.comb(k, i) * math.comb(n, k - i) * t ** (n - k + 2 * i) * (t * t - 1) ** (k - i) for i in range(k + 1)
                     )
                     got = bs_diagonal_element(k, n, bs)
-                    assert abs(Fraction(got) - want) <= Fraction(4.5e-16) * abs(want), (T, k, n)
+                    assert abs(Fraction(got) - want) <= Fraction(1, 2**53) * abs(want), (T, k, n)
+
+    def test_past_the_float_range_of_t_powers(self):
+        # at minimal N = 140, |T|^{n-k} for these n < k overflows a float, while
+        # the element, one of a unitary, is finite: the exact one, rounded
+        T = optimal_transmission(140)
+        t = Fraction(T)
+        for k, n in ((136, 0), (139, 0), (140, 1), (140, 3)):
+            want = sum(math.comb(k, i) * math.comb(n, k - i) * t ** (n - k + 2 * i) * (t * t - 1) ** (k - i) for i in range(k + 1))
+            got = bs_diagonal_element(k, n, BeamSplitter(T))
+            assert math.isfinite(got) and got == float(want), (k, n)
 
     def test_pole_at_zero_transmission(self):
         with pytest.raises(ValueError):
@@ -463,7 +472,7 @@ class TestCofactors:
 def _exact_null_vector(nodes, t):
     """v = D_n^{-1} C'^{-1} y in rationals, y_j = s^j, s = -t/(1+t) (y = (1,) for N = 1),
     from the weights that success_probability rounds."""
-    return [u / t**n for n, u in zip(nodes, _weights(nodes, t))]
+    return [Fraction(num, den) / Fraction(t) ** n for n, (num, den) in zip(nodes, _weights(nodes, t))]
 
 
 def _exact_p(nodes, t):
@@ -493,10 +502,15 @@ class TestSuccessProbability:
         sol = success_probability(NodeSet.minimal(N), optimal_transmission(N))
         assert abs(sol.p * N**2 - 1) <= 1e-14
 
-    def test_weights_underflow_raises(self):
-        # at N = 150, |T|^{N-1} scales every weight below the float range
-        with pytest.raises(ValueError, match="float range"):
-            success_probability(NodeSet.minimal(150), optimal_transmission(150))
+    @pytest.mark.parametrize("N", [137, 138, 140, 141, 150, 300])
+    def test_p_where_t_powers_leave_the_float_range(self, N):
+        # |T|^{N-1} is subnormal from N = 136 on; v = a2^{-1} 1 is evaluated in
+        # decimal, so p stays the float of the exact-rational p at the same T
+        nodes, t = NodeSet.minimal(N), optimal_transmission(N)
+        want = float(1 / sum(abs(x) for x in _exact_null_vector(nodes, t)) ** 2)
+        p = success_probability(nodes, t).p
+        assert abs(p - want) <= 2.3e-16 * want
+        assert abs(p * N**2 - 1) <= 1e-14
 
     def test_weight_normalizations(self):
         N = 6
@@ -533,8 +547,9 @@ class TestSuccessProbability:
         # sum_l C(n_l, j) u_l = s^j for j = 0..N-1, in rationals
         s = -Fraction(t) / (1 + Fraction(t))
         for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4])):
-            u = _weights(nodes, t)
-            assert len(u) == len(nodes) and all(type(x) is Fraction for x in u)
+            pairs = _weights(nodes, t)
+            assert len(pairs) == len(nodes) and all(type(a) is int and type(b) is int for a, b in pairs)
+            u = [Fraction(a, b) for a, b in pairs]
             for j in range(len(nodes)):
                 assert sum(math.comb(n, j) * x for n, x in zip(nodes, u)) == s**j, (nodes, j)
 

@@ -53,9 +53,12 @@ def test_scan_determinism():
     assert a == b
 
 
-def test_scan_rejects_oversize():
-    with pytest.raises(ValueError):
-        scan_nodes(NodeSet.minimal(15))
+def test_scan_past_fourteen():
+    # no cap on N: minimal N = 15 gives the one gate T = 1 - 2^{1/15}, p = 1/225
+    report = scan_nodes(NodeSet.minimal(15))
+    assert [e.T for e in report.entries] == [report.best.T]
+    assert report.best.T == pytest.approx(-math.expm1(math.log(2) / 15), rel=1e-13)
+    assert report.best.p * 15**2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sweep_first_three():
@@ -85,5 +88,3 @@ def test_sweep_validation():
         sweep(0, 3)
     with pytest.raises(ValueError):
         sweep(3, 2)
-    with pytest.raises(ValueError):
-        sweep(1, 99)
