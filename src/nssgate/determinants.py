@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import spoly_eval, spoly_eval_exact
+from .polynomials import integer_ratio, spoly_scaled
 
 __all__ = [
     "NodeSet",
@@ -96,12 +96,12 @@ def dense_det(matrix) -> float:
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant: Bareiss on the rows scaled once to integers (exact
     `//`, no gcd), over the product of the row scales.  0x0 gives Fraction(1)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    m = [[integer_ratio(v) for v in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    scales = [math.lcm(*(v.denominator for v in row)) for row in m]
-    a = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(m, scales)]
+    scales = [math.lcm(*(d for _, d in row)) for row in m]
+    a = [[p * (s // d) for p, d in row] for row, s in zip(m, scales)]
     sign = prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
@@ -138,11 +138,13 @@ def vandermonde_S(nodes: NodeSet, x: float) -> float:
 
 
 def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
-    """The S-basis Vandermonde matrix, rows k = 0..N-1, columns the nodes."""
-    N = len(nodes)
-    if exact:
-        return [[spoly_eval_exact(k, x, n) for n in nodes] for k in range(N)]
-    return np.array([[spoly_eval(k, x, n) for n in nodes] for k in range(N)])
+    """The S-basis Vandermonde matrix, rows k = 0..N-1, columns the nodes: x
+    is split into a/b once, and each element is `spoly_scaled` over b^{2k},
+    a `Fraction` if exact, else a float rounded once."""
+    a, b = integer_ratio(x)
+    div = Fraction if exact else operator.truediv
+    rows = [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
+    return rows if exact else np.array(rows)
 
 
 def gapped_vandermonde(N: int, gap: int) -> int:

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .determinants import NodeSet, exact_det
-from .polynomials import spoly_eval_exact
+from .polynomials import spoly_scaled
 
 __all__ = [
     "BeamSplitter",
@@ -87,15 +87,25 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
 
         T^{n-k} P_k^{(0,n-k)}(2T^2-1) = T^{n-k} S_k^{(T)}(n).
 
-    The product is exact at the float T (`spoly_eval_exact`: no cancellation)
-    and rounded once; an element of a unitary, it never overflows.
+    With T = m/q and S^ = q^{2k} S_k^{(T)}(n) (`spoly_scaled`) the element is
+    the one integer quotient m^{n-k} S^ / q^{n+k}, or S^ / (m^{k-n} q^{k+n})
+    for n < k: exact at the float T (no cancellation) and rounded once.  An
+    element of a unitary, it never overflows.
     """
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
     t = bs.T
     if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
-    return float(Fraction(t) ** (n - k) * spoly_eval_exact(k, t, n))
+    return _diagonal_element(k, n, *t.as_integer_ratio())
+
+
+def _diagonal_element(k: int, n: int, m: int, q: int) -> float:
+    """T^{n-k} S_k^{(T)}(n) at T = m/q, m != 0 if n < k, as one quotient."""
+    s = spoly_scaled(k, m, q, n)
+    if n >= k:
+        return m ** (n - k) * s / q ** (n + k)
+    return s / (m ** (k - n) * q ** (k + n))
 
 
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
@@ -103,12 +113,14 @@ def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
     <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1 (photon level k-1 of
     the 1-based row k); the coefficient matrix is a = a1 + a2.  The Fock
     oracle's default `apply_gate` contracts these rows with the weights: a2
-    gives the amplitudes of levels k < N, a1 that of level N."""
+    gives the amplitudes of levels k < N, a1 that of level N.  T is split into
+    m/q once for all elements (`bs_diagonal_element`)."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
-    a1 = np.array([[bs_diagonal_element(N, n, bs) for n in nodes]] * N)
-    a2 = np.array([[bs_diagonal_element(kk, n, bs) for n in nodes] for kk in range(N)])
+    m, q = bs.T.as_integer_ratio()
+    a1 = np.array([[_diagonal_element(N, n, m, q) for n in nodes]] * N)
+    a2 = np.array([[_diagonal_element(kk, n, m, q) for n in nodes] for kk in range(N)])
     return a1, a2
 
 

@@ -6,19 +6,26 @@ that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
 
     S_k^{(x)}(n) = sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (1-x^2)^j.
 
-For x = a/b this is one integer sum over b^{2k} (`spoly_eval_exact`), which
-`spoly_eval` rounds once; it is the package's one S kernel, and the
-beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n).  The
-recursion and the expansion coefficients serve the `identities` suites.
+For x = a/b, b^{2k} S_k^{(x)}(n) is one integer (`spoly_scaled`), the
+package's one S kernel: the binomial products come from their ratio
+recurrence and the sum from homogeneous Horner in a^2 and b^2-a^2, with no
+`Fraction`, `math.comb` or power per term.  `spoly_eval_exact` wraps it in one
+`Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
+beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n), one
+more quotient.  The recursion and the expansion coefficients serve the
+`identities` suites.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = [
     "binomial",
+    "integer_ratio",
+    "spoly_scaled",
     "spoly_eval",
     "spoly_eval_exact",
     "spoly_recursion_step",
@@ -35,25 +42,51 @@ def binomial(a: int, m: int) -> int:
     return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
 
 
-def spoly_eval(k: int, x: float, n: int) -> float:
-    """S_k^{(x)}(n) as a float: the exact fused sum, rounded once.
+def integer_ratio(x) -> tuple:
+    """(a, b), Python ints, with x = a/b exactly and b > 0.  numpy integers have
+    no `as_integer_ratio`, and `Fraction` keeps their type, so they are converted."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        f = Fraction(x)
+        return int(f.numerator), int(f.denominator)
+
+
+def spoly_scaled(k: int, a: int, b: int, n: int) -> int:
+    """b^{2k} S_k^{(a/b)}(n), an integer, at an integer n (a non-integer n,
+    2.0 included, raises TypeError).
+
+    Horner over j of c_j a^{2(k-j)} (b^2-a^2)^j, with c_j = (-1)^j C(k,j) C(n,j)
+    from c_{j+1} (j+1)^2 = -c_j (k-j)(n-j), an exact division.  For 0 <= n < k
+    the terms past j = n vanish, and a^{2(k-n)} multiplies the rest once."""
+    n = operator.index(n)
+    if k < 0:
+        raise ValueError("order k must be non-negative")
+    a2 = a * a
+    d = b * b - a2
+    top = k if n < 0 else min(k, n)
+    acc = c = dpow = 1
+    for j in range(top):
+        c = -c * (k - j) * (n - j) // ((j + 1) * (j + 1))
+        dpow *= d
+        acc = acc * a2 + c * dpow
+    return acc * a2 ** (k - top)
+
+
+def spoly_eval(k: int, x, n: int) -> float:
+    """S_k^{(x)}(n) as a float: `spoly_scaled` over b^{2k}, one correctly
+    rounded integer quotient, so the bits of float(`spoly_eval_exact`).
 
     Its alternating terms still cancel to ~4 digits near |x| = 1 at k = 20,
     more than a double accumulator can absorb at 1e-10 relative accuracy."""
-    return float(spoly_eval_exact(k, Fraction(x), n))
+    a, b = integer_ratio(x)
+    return spoly_scaled(k, a, b, n) / b ** (2 * k)
 
 
 def spoly_eval_exact(k: int, x, n: int) -> Fraction:
-    """Exact S_k^{(x)}(n) at an integer n (a non-integer n raises TypeError).
-
-    With x = a/b it is the integer sum_j (-1)^j C(k,j) C(n,j) a^{2(k-j)}
-    (b^2-a^2)^j over b^{2k}."""
-    if k < 0:
-        raise ValueError("order k must be non-negative")
-    xf = Fraction(x)
-    a2, b2 = xf.numerator**2, xf.denominator**2
-    total = sum((-1) ** j * math.comb(k, j) * binomial(n, j) * a2 ** (k - j) * (b2 - a2) ** j for j in range(k + 1))
-    return Fraction(total, b2**k)
+    """Exact S_k^{(x)}(n) at an integer n: `spoly_scaled` over b^{2k}, x = a/b."""
+    a, b = integer_ratio(x)
+    return Fraction(spoly_scaled(k, a, b, n), b ** (2 * k))
 
 
 def spoly_recursion_step(k: int, x: float, n: int, s_km1: float, s_km2: float) -> float:

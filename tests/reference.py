@@ -5,8 +5,9 @@ reaches T and p through the secular polynomial and the exact inverse of
 C(n_l, j).  What is kept here is the paper's own route to p = 1/N^2 for the
 minimal nodes {0..N-1}, so that the tests can hold the package to it:
 
-- the exact coefficient matrix and the closed forms of det(a), the last-row
-  cofactors and the numerator and denominator of p;
+- the exact coefficient matrix, built on S from the three-term recursion
+  rather than the package's S sum, and the closed forms of det(a), the
+  last-row cofactors and the numerator and denominator of p;
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
   as a polynomial in n, and the weight sequences s_l in both forms.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nssgate.determinants import NodeSet
-from nssgate.polynomials import binomial, spoly_eval_exact
+from nssgate.polynomials import binomial
 
 
 def jacobi(k: int, beta: int, x) -> float:
@@ -107,12 +108,24 @@ def partial_binomial_sum(j: int, N: int, T: float) -> float:
     return sum(math.comb(N, t) * T**t for t in range(j + 1))
 
 
+def spoly_column_exact(K: int, x, n: int) -> list:
+    """[S_0, ..., S_K] at (x, n) in Fractions: S_0 = 1, S_1 = (x^2-1)(n+1) + 1,
+    then the three-term recursion, which shares nothing with the package's S sum."""
+    x2 = Fraction(x) ** 2
+    out = [Fraction(0), Fraction(1)]  # S_{-1} = 0 starts the recursion at k = 1
+    for k in range(1, K + 1):
+        out.append((((x2 - 1) * (n + k) + 2 * k - 1) * out[-1] - (k - 1) * x2 * out[-2]) / k)
+    return out[1:]
+
+
 def coefficient_matrix_exact(nodes: NodeSet, T):
-    """Exact-rational (a1, a2) row lists for real rational T; oracle path."""
+    """Exact-rational (a1, a2) row lists for real rational T, with S from
+    `spoly_column_exact`; oracle path."""
     t = Fraction(T)
     N = len(nodes)
-    a1 = [[t ** (n - N) * spoly_eval_exact(N, t, n) for n in nodes] for _ in range(N)]
-    a2 = [[t ** (n - kk) * spoly_eval_exact(kk, t, n) for n in nodes] for kk in range(N)]
+    cols = [spoly_column_exact(N, t, n) for n in nodes]
+    a1 = [[t ** (n - N) * col[N] for n, col in zip(nodes, cols)] for _ in range(N)]
+    a2 = [[t ** (n - kk) * col[kk] for n, col in zip(nodes, cols)] for kk in range(N)]
     return a1, a2
 
 

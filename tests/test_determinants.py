@@ -121,6 +121,8 @@ class TestExactDet:
         for rows in ([[2, 1], [1, 3]], np.array([[2, 1], [1, 3]], dtype=np.int64)):
             det = exact_det(rows)
             assert det == 5 and type(det) is Fraction
+        # numpy integers become Python ints, so no product wraps around in int64
+        assert exact_det(np.array([[2**40, 1], [1, 2**40]], dtype=np.int64)) == 2**80 - 1
 
     def test_matches_leibniz_on_mixed_denominators(self):
         # rows mix thirds, sevenths, ... with binary floats and zeros, so the

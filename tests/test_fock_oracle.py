@@ -200,10 +200,11 @@ class TestApplyGate:
             assert amps[k] == pytest.approx(1.0, abs=1e-12)
             assert np.sum(amps) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("N", [20, 50])
+    @pytest.mark.parametrize("N", [20, 50, 100, 136])
     def test_default_path_past_fourteen(self, N):
         # the exact diagonal elements have no N limit; measured 3.2e-15 at
-        # N = 20 and 4.5e-15 at N = 50 relative to sqrt p
+        # N = 20, 4.5e-15 at N = 50, 1.5e-14 at N = 100 and 2.0e-14 at N = 136
+        # relative to sqrt p (about 0.4 s and 1.2 s for the last two)
         assert _lambda_error(_solve(N), full=False) <= 1e-12
 
     def test_post_select_reuses_the_amplitudes(self):

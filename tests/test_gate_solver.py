@@ -180,13 +180,18 @@ class TestCoefficientMatrix:
         assert abs(dense_det(a1 + a2)) <= 1e-10
 
     def test_exact_build_matches_double(self):
-        t = Fraction(-1, 4)
-        nodes = NodeSet((0, 2, 3))
-        a1, a2 = coefficient_matrix_exact(nodes, t)
-        f1, f2 = build_coefficient_matrix(nodes, BeamSplitter(float(t)))
-        for kk in range(3):
-            for l in range(3):
-                assert float(a1[kk][l] + a2[kk][l]) == pytest.approx(f1[kk, l] + f2[kk, l], rel=1e-13)
+        # every element is the float of the exact one, whose S comes from the
+        # Fraction recursion of `coefficient_matrix_exact`, not the package's
+        # S sum: at the roots of minimal sets (T < 0; n < k in a1 and below
+        # the diagonal of a2), at T = 0.3 and on one gapped set
+        cases = [(NodeSet((0, 2, 3)), [-0.25, 0.3])]
+        cases += [(NodeSet.minimal(N), find_transmission(NodeSet.minimal(N)) + [0.3]) for N in (1, 2, 5, 14, 50)]
+        for nodes, ts in cases:
+            for T in ts:
+                a1, a2 = coefficient_matrix_exact(nodes, T)
+                f1, f2 = build_coefficient_matrix(nodes, BeamSplitter(T))
+                assert f1.tolist() == [[float(v) for v in row] for row in a1], (nodes, T)
+                assert f2.tolist() == [[float(v) for v in row] for row in a2], (nodes, T)
 
 
 class TestDetClosedForm:

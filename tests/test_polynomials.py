@@ -18,6 +18,7 @@ from reference import (
     elementary_sigma,
     jacobi,
     partial_binomial_sum,
+    spoly_column_exact,
     weight_sequence,
     weight_sequence_resummed,
 )
@@ -94,16 +95,25 @@ def test_binomial_is_falling_factorial_over_factorial():
             assert type(got) is int and got == want
 
 
-@pytest.mark.parametrize("x", [0, 1, -1, Fraction(3, 10), Fraction(-3, 10), Fraction(999, 1000), 0.3, -0.7])
+@pytest.mark.parametrize(
+    "x", [0, 1, -1, Fraction(3, 10), Fraction(-3, 10), Fraction(999, 1000), 0.3, -0.7, np.int64(-1)]
+)
 def test_spoly_exact_equals_exact_recursion(x):
-    # S_0 = 1, S_1 = (x^2-1)(n+1) + 1, then the three-term recursion, all in Fractions
-    x2 = Fraction(x) ** 2
-    for n in (-10, -3, -1, 0, 1, 7, 30, 40):
-        prev, cur = Fraction(0), Fraction(1)
-        for k in range(21):
-            if k > 0:
-                prev, cur = cur, (((x2 - 1) * (n + k) + 2 * k - 1) * cur - (k - 1) * x2 * prev) / k
-            assert spoly_eval_exact(k, x, n) == cur
+    # S_0 = 1, S_1 = (x^2-1)(n+1) + 1, then the three-term recursion, all in
+    # Fractions; k runs to 60, past every n >= 0 here (the terms past j = n vanish)
+    for n in (-10, -3, -1, 0, 1, 7, 30, 40, 59):
+        for k, want in enumerate(spoly_column_exact(60, x, n)):
+            assert spoly_eval_exact(k, x, n) == want
+
+
+@pytest.mark.parametrize(
+    "x", [0.3, -0.7, 0.999, -1e-3, 1 - 2 ** (1 / 14), Fraction(3, 10), Fraction(-999, 1000), Fraction(1, 3)]
+)
+def test_spoly_eval_is_the_exact_value_rounded_once(x):
+    # one correctly rounded quotient: the same bits as float(Fraction), sign of 0 included
+    for k in range(0, 41, 4):
+        for n in (-7, -1, 0, 3, 20, 45):
+            assert spoly_eval(k, x, n).hex() == float(spoly_eval_exact(k, x, n)).hex(), (k, n)
 
 
 def test_spoly_rejects_non_integer_photon_number():
@@ -111,6 +121,15 @@ def test_spoly_rejects_non_integer_photon_number():
         spoly_eval_exact(3, Fraction(1, 2), Fraction(5, 2))
     with pytest.raises(TypeError):
         spoly_eval(3, 0.5, 2.5)
+    for f in (spoly_eval, spoly_eval_exact):
+        with pytest.raises(TypeError):
+            f(3, 0.5, 2.0)  # an integral float is not a photon number either
+
+
+def test_spoly_rejects_negative_order():
+    for f in (spoly_eval, spoly_eval_exact):
+        with pytest.raises(ValueError):
+            f(-1, 0.5, 3)
 
 
 def test_recursion_trivial_cases():
