@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -92,6 +93,7 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
     for n < k: exact at the float T (no cancellation) and rounded once.  An
     element of a unitary, it never overflows.
     """
+    k, n = operator.index(k), operator.index(n)
     if k < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
     t = bs.T
@@ -129,20 +131,6 @@ def optimal_transmission(N: int) -> float:
     return 1.0 - 2.0 ** (1.0 / N)
 
 
-def _polymul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _forward_differences(values: list) -> list:
-    """Delta^j q(0), j = 0..len-1, from the values q(0), q(1), ...: the
-    coefficients of q in the binomial basis C(x, j) when deg q < len(values)."""
-    return [sum((-1) ** (j - i) * math.comb(j, i) * values[i] for i in range(j + 1)) for j in range(len(values))]
-
-
 def secular_polynomial(nodes: NodeSet) -> list:
     """Integer coefficients, lowest power first, of N! P(t), where
 
@@ -156,14 +144,23 @@ def secular_polynomial(nodes: NodeSet) -> list:
     so q(x) = C(x, N) - prod_l (x - n_l) / N!, and z_j is the j-th forward
     difference of q at 0.  z = 0 for the minimal nodes, where P is the paper's
     t^N [2 - (1-t)^N].  det(a2) vanishes only at T = +-1, which P leaves out.
+    Additions only: a difference table gives N! z; the sum over j, Z(t), is
+    (-t)^{N-1} R(-1 - 1/t) with R(w) = sum_j z_j w^{N-1-j}, one Taylor shift;
+    and N! P = 2 N! t^N + (t-1)^N g(t), g = (t+1) Z - (-1)^N N! t^N, two more.
     """
     N = len(nodes)
-    z = _forward_differences([-math.prod(i - n for n in nodes) for i in range(N)])  # N! z_j
-    zsum = [sum((-1) ** j * z[j] * math.comb(N - 1 - j, i - j) for j in range(i + 1)) for i in range(N)]
-    t_minus_1 = [math.comb(N, i) * (-1) ** (N - i) for i in range(N + 1)]  # (t-1)^N
-    tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
-    head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
-    return [h + c for h, c in zip(head, tail)]
+    f = math.factorial(N)
+    z = [-math.prod(i - n for n in nodes) for i in range(N)]  # N! q(i)
+    for j in range(1, N):  # difference table, in place: z[j] = N! Delta^j q(0)
+        for i in range(N - 1, j - 1, -1):
+            z[i] -= z[i - 1]
+    r = _shift(z[::-1], -1)  # R(w - 1)
+    zsum = [(-1) ** i * r[N - 1 - i] for i in range(N)]  # Z(t) = (-t)^{N-1} R(-1 - 1/t)
+    g = [a + b for a, b in zip(zsum + [0], [0] + zsum)]  # (t+1) Z(t)
+    g[N] -= (-1) ** N * f
+    out = _shift([0] * N + _shift(g, 1), -1)  # t^N g(t + 1) at t - 1
+    out[N] += 2 * f
+    return out
 
 
 def _exact_sign(coeffs: list, t: float) -> int:

@@ -54,12 +54,12 @@ def integer_ratio(x) -> tuple:
 
 def spoly_scaled(k: int, a: int, b: int, n: int) -> int:
     """b^{2k} S_k^{(a/b)}(n), an integer, at an integer n (a non-integer n,
-    2.0 included, raises TypeError).
+    2.0 included, raises TypeError).  numpy integer k and n become Python ints.
 
     Horner over j of c_j a^{2(k-j)} (b^2-a^2)^j, with c_j = (-1)^j C(k,j) C(n,j)
     from c_{j+1} (j+1)^2 = -c_j (k-j)(n-j), an exact division.  For 0 <= n < k
     the terms past j = n vanish, and a^{2(k-n)} multiplies the rest once."""
-    n = operator.index(n)
+    k, n = operator.index(k), operator.index(n)
     if k < 0:
         raise ValueError("order k must be non-negative")
     a2 = a * a
@@ -79,12 +79,14 @@ def spoly_eval(k: int, x, n: int) -> float:
 
     Its alternating terms still cancel to ~4 digits near |x| = 1 at k = 20,
     more than a double accumulator can absorb at 1e-10 relative accuracy."""
+    k = operator.index(k)
     a, b = integer_ratio(x)
     return spoly_scaled(k, a, b, n) / b ** (2 * k)
 
 
 def spoly_eval_exact(k: int, x, n: int) -> Fraction:
     """Exact S_k^{(x)}(n) at an integer n: `spoly_scaled` over b^{2k}, x = a/b."""
+    k = operator.index(k)
     a, b = integer_ratio(x)
     return Fraction(spoly_scaled(k, a, b, n), b ** (2 * k))
 

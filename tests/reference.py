@@ -8,6 +8,8 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
 - the exact coefficient matrix, built on S from the three-term recursion
   rather than the package's S sum, and the closed forms of det(a), the
   last-row cofactors and the numerator and denominator of p;
+- the secular polynomial from its binomial sums, the route the package's
+  difference table and Taylor shifts replace;
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
   as a polynomial in n, and the weight sequences s_l in both forms.
 """
@@ -127,6 +129,28 @@ def coefficient_matrix_exact(nodes: NodeSet, T):
     a1 = [[t ** (n - N) * col[N] for n, col in zip(nodes, cols)] for _ in range(N)]
     a2 = [[t ** (n - kk) * col[kk] for n, col in zip(nodes, cols)] for kk in range(N)]
     return a1, a2
+
+
+def _polymul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def secular_polynomial_reference(nodes: NodeSet) -> list:
+    """N! P(t) of `nssgate.gate_solver.secular_polynomial` by its binomial sums:
+    z_j = sum_i (-1)^{j-i} C(j, i) N! q(i), the sum over j expanded term by
+    term, and (t-1)^N and t^N [2 - (1-t)^N] written out with `math.comb`."""
+    N = len(nodes)
+    values = [-math.prod(i - n for n in nodes) for i in range(N)]  # N! q(i)
+    z = [sum((-1) ** (j - i) * math.comb(j, i) * values[i] for i in range(j + 1)) for j in range(N)]
+    zsum = [sum((-1) ** j * z[j] * math.comb(N - 1 - j, i - j) for j in range(i + 1)) for i in range(N)]
+    t_minus_1 = [math.comb(N, i) * (-1) ** (N - i) for i in range(N + 1)]  # (t-1)^N
+    tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
+    head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
+    return [h + c for h, c in zip(head, tail)]
 
 
 def det_closed_form(N: int, T: float) -> float:

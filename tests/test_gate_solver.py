@@ -11,7 +11,6 @@ from nssgate.fock_oracle import SignalState, apply_gate
 from nssgate.gate_solver import (
     BISECT_TOL,
     BeamSplitter,
-    _polymul,
     _real_roots,
     _weights,
     bs_diagonal_element,
@@ -25,12 +24,14 @@ from nssgate.gate_solver import (
 from nssgate.optimizer import scan_nodes
 from nssgate.polynomials import spoly_eval_exact
 from reference import (
+    _polymul,
     coefficient_matrix_exact,
     cofactor_closed_form,
     denominator_closed_form,
     det_closed_form,
     jacobi,
     numerator_closed_form,
+    secular_polynomial_reference,
 )
 
 SEED = 31337
@@ -334,10 +335,20 @@ class TestSecularPolynomial:
             assert P(t) == 0 or (P(t - d) < 0) != (P(t + d) < 0), t
 
     def test_minimal_nodes_give_the_paper_polynomial(self):
-        for N in range(1, 15):
+        for N in [*range(1, 15), 100, 300]:
             coeffs = secular_polynomial(NodeSet.minimal(N))
             bracket = [2 * (k == 0) - math.comb(N, k) * (-1) ** k for k in range(N + 1)]
             assert coeffs == [0] * N + [math.factorial(N) * c for c in bracket]
+
+    def test_equals_the_binomial_sum_reference(self):
+        # every N = 1..8 set in 0..N+3, and seeded larger sets
+        rng = np.random.default_rng(SEED)
+        sets = [s for N in range(1, 9) for s in itertools.combinations(range(N + 4), N)]
+        sets += [tuple(sorted(int(v) for v in rng.choice(3 * N, size=N, replace=False))) for N in (40, 120, 300)]
+        for nodes in sets:
+            got = secular_polynomial(NodeSet(nodes))
+            assert got == secular_polynomial_reference(NodeSet(nodes)), nodes
+            assert all(type(c) is int for c in got), nodes
 
 
 def _sturm_count(coeffs):

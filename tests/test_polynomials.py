@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nssgate.gate_solver import BeamSplitter, bs_diagonal_element
 from nssgate.polynomials import (
     binomial,
     gapped_binomial_expand,
@@ -11,6 +12,7 @@ from nssgate.polynomials import (
     spoly_eval,
     spoly_eval_exact,
     spoly_recursion_step,
+    spoly_scaled,
     symmetric_s,
 )
 from reference import (
@@ -130,6 +132,23 @@ def test_spoly_rejects_negative_order():
     for f in (spoly_eval, spoly_eval_exact):
         with pytest.raises(ValueError):
             f(-1, 0.5, 3)
+
+
+def test_numpy_integer_order_and_photon_number():
+    # np.int64 k and n give the Python-int or float results of plain ints; numpy
+    # arithmetic on them would return np.int64 or raise OverflowError
+    bs = BeamSplitter(0.3)
+    for k in (5, 12, 40):
+        for kk, n in ((np.int64(k), 20), (k, np.int64(20)), (np.int64(k), np.int64(20))):
+            got = spoly_scaled(kk, 3, 10, n)
+            assert type(got) is int and got == spoly_scaled(k, 3, 10, 20)
+            got = spoly_eval(kk, 0.3, n)
+            assert type(got) is float and got == spoly_eval(k, 0.3, 20)
+            got = spoly_eval_exact(kk, Fraction(3, 10), n)
+            assert type(got.numerator) is type(got.denominator) is int
+            assert got == spoly_eval_exact(k, Fraction(3, 10), 20)
+            got = bs_diagonal_element(kk, n - 15, bs)
+            assert type(got) is float and got == bs_diagonal_element(k, 5, bs)
 
 
 def test_recursion_trivial_cases():
