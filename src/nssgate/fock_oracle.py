@@ -65,8 +65,8 @@ def _sectors(top: int, bs: BeamSplitter) -> list:
     for M in range(1, top + 1):
         s = np.sqrt(np.arange(1.0, M + 1))[:, None]  # sqrt(j+1) for j = 0..M-1
         # the column of U_{M-1} each column of U_M starts from, over sqrt(M), sqrt(1), ..., sqrt(M)
-        prev = np.hstack([us[-1][:, :1], us[-1]]) / np.r_[s[-1], s[:, 0]]
-        a, b = np.r_[-r, [T] * M], np.r_[T, [r] * M]  # coefficients of a+ and b+ in each column
+        prev = np.hstack([us[-1][:, :1] / s[-1], us[-1] / s.T])
+        a, b = np.where(np.arange(M + 1) > 0, [[T], [r]], [[-r], [T]])  # coefficients of a+ and b+ in each column
         u = np.zeros((M + 1, M + 1))
         u[1:] = a * s * prev  # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j>
         u[:-1] += b * s[::-1] * prev  # b+ |j, M-1-j> = sqrt(M-j) |j, M-j>

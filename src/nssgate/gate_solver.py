@@ -31,7 +31,6 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -249,7 +248,7 @@ def cofactors(matrix, row: int):
         raise ValueError("cofactors takes a real matrix")
     if not 0 <= row < N:
         raise ValueError("row out of range")
-    rows = [[Fraction(v) for v in r] for r in np.asarray(a, dtype=float)]
+    rows = np.asarray(a, dtype=float).tolist()
     out = []
     for l in range(N):
         minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
@@ -266,18 +265,19 @@ def _weights(nodes: NodeSet, t) -> list:
     with f_l(x) = prod_{m != l} (x - n_m).  For any f of degree < N,
     sum_j Delta^j f(0) s^j = sum_{i<N} c_i f(i), where c_i are the coefficients
     of y(x - 1) = sum_j s^j (x - 1)^j; so one c, taken over the common
-    denominator (1+t)^{N-1}, serves every row, and f_l(i) = F(i) / (i - n_l)
-    comes from the one product F(x) = prod_m (x - n_m).
-    """
+    denominator (1+t)^{N-1}, serves every row.  F(x) = prod_m (x - n_m) gives
+    f_l(i) = F(i) / (i - n_l) and vanishes at every node, so only c_{n_l} f_l(n_l)
+    (if n_l < N) and c_g F(g) / (g - n_l) for each gap g of {0..N-1} remain:
+    the minimal nodes have no gaps, and there u = c."""
     N = len(nodes)
     m, q = t.as_integer_ratio()  # t = m/q, so s = -m/(q+m)
     c = _shift([(-m) ** k * (q + m) ** (N - 1 - k) for k in range(N)], -1)
-    F = [math.prod(i - n for n in nodes) for i in range(N)]
-    u = []
+    gaps = [(g, c[g] * math.prod(g - n for n in nodes)) for g in set(range(N)).difference(nodes)]
+    den, u = (q + m) ** (N - 1), []
     for n in nodes:
         D = math.prod(n - k for k in nodes if k != n)  # f_l(n_l)
-        num = sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F)))
-        u.append((num, D * (q + m) ** (N - 1)))
+        num = (c[n] * D if n < N else 0) + sum(cF // (g - n) for g, cF in gaps)
+        u.append((num, D * den))
     return u
 
 

@@ -10,6 +10,8 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   last-row cofactors and the numerator and denominator of p;
 - the secular polynomial from its binomial sums, the route the package's
   difference table and Taylor shifts replace;
+- the gate weights u = C'^{-1} y by the sum over all N points 0..N-1, which
+  the package cuts to the node itself and the gaps of {0..N-1};
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
   as a polynomial in n, and the weight sequences s_l in both forms.
 """
@@ -151,6 +153,26 @@ def secular_polynomial_reference(nodes: NodeSet) -> list:
     tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
     head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
     return [h + c for h, c in zip(head, tail)]
+
+
+def weights_reference(nodes: NodeSet, t) -> list:
+    """`nssgate.gate_solver._weights` as (numerator, denominator) pairs by the
+    sum over every i < N: u_l = sum_i c_i f_l(i) / f_l(n_l), with c_i the
+    coefficients of y(x - 1) over (1+t)^{N-1} by Horner's rule in x - 1,
+    f_l(i) = F(i) / (i - n_l) for i != n_l and F(x) = prod_m (x - n_m)."""
+    N = len(nodes)
+    m, q = t.as_integer_ratio()
+    c = []
+    for j in reversed(range(N)):  # c <- c (x - 1) + y_j, y_j = (-m)^j (q+m)^{N-1-j}
+        c = [a - b for a, b in zip([0] + c, c + [0])]
+        c[0] += (-m) ** j * (q + m) ** (N - 1 - j)
+    F = [math.prod(i - n for n in nodes) for i in range(N)]
+    u = []
+    for n in nodes:
+        D = math.prod(n - k for k in nodes if k != n)
+        num = sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F)))
+        u.append((num, D * (q + m) ** (N - 1)))
+    return u
 
 
 def det_closed_form(N: int, T: float) -> float:

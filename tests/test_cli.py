@@ -295,12 +295,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_no_trials_exit_1(self, capsys, trials):
-        code, out, err = run(capsys, "verify", "--n", "3", "--trials", trials)
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("--trials", "0", "trials"), ("--trials", "-1", "trials"), ("--n", "0", "N >= 1"), ("--n", "-2", "N >= 1")],
+        ids=["0", "-1", "n0", "n-2"],
+    )
+    def test_no_trials_exit_1(self, capsys, flag, value, word):
+        # --trials and --n must each be at least 1
+        args = {"--n": "3", "--trials": "5", flag: value}
+        code, out, err = run(capsys, "verify", *(x for kv in args.items() for x in kv))
         assert code == 1
         assert out == ""
-        assert "trials" in err and err.count("\n") == 1
+        assert word in err and err.count("\n") == 1
 
     def test_n40_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "40")

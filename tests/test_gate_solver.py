@@ -32,6 +32,7 @@ from reference import (
     jacobi,
     numerator_closed_form,
     secular_polynomial_reference,
+    weights_reference,
 )
 
 SEED = 31337
@@ -386,8 +387,10 @@ class TestRealRoots:
             (([-1, 2_000_000],), [5e-7]),
             (([-1, 4], [-1, 4], [-1, 2_000_000]), [5e-7, 0.25]),  # 1/4 is a bisection midpoint
             (([-1, 3], [-1, 3], [1, 5]), [-0.2]),  # the double root has no sign change
+            (([-3, 8],), [0.375]),  # _bisect_root lands on the root exactly
+            (([-1, 3],) * 3, [1 / 3]),  # the triple root is kept by its odd v once the interval is narrow
         ],
-        ids=["close_pair", "near_zero", "midpoint_double_root", "even_multiplicity"],
+        ids=["close_pair", "near_zero", "midpoint_double_root", "even_multiplicity", "exact_hit", "triple_root"],
     )
     def test_synthetic_polynomials(self, factors, want):
         got = _real_roots(functools.reduce(_polymul, factors))
@@ -562,12 +565,25 @@ class TestSuccessProbability:
     def test_weights_solve_the_binomial_system(self, t):
         # sum_l C(n_l, j) u_l = s^j for j = 0..N-1, in rationals
         s = -Fraction(t) / (1 + Fraction(t))
-        for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4])):
+        # (4..7): every photon number >= N, so no node has its own term; (1..5): a gap at 0
+        for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4]), NodeSet((4, 5, 6, 7)), NodeSet((1, 2, 3, 4, 5))):
             pairs = _weights(nodes, t)
             assert len(pairs) == len(nodes) and all(type(a) is int and type(b) is int for a, b in pairs)
             u = [Fraction(a, b) for a, b in pairs]
             for j in range(len(nodes)):
                 assert sum(math.comb(n, j) * x for n, x in zip(nodes, u)) == s**j, (nodes, j)
+
+    def test_weights_equal_the_full_sum_reference(self):
+        # the sum over the node and the gaps of {0..N-1} gives the same integer
+        # pairs as the sum over every i < N: every N = 1..8 set in 0..N+3 at
+        # each of its roots, and seeded gapped sets and minimal N = 300
+        rng = np.random.default_rng(SEED)
+        small = [s for N in range(1, 9) for s in itertools.combinations(range(N + 4), N)]
+        large = [tuple(sorted(int(v) for v in rng.choice(3 * N, size=N, replace=False))) for N in (40, 120, 300)]
+        for nodes in map(NodeSet, small + large + [tuple(range(300))]):
+            roots = find_transmission(nodes) if len(nodes) <= 8 else []
+            for t in [Fraction(-3, 7), Fraction(2, 9), *roots]:
+                assert _weights(nodes, t) == weights_reference(nodes, t), (nodes, t)
 
     def test_null_vector_exact(self):
         # a2 v = 1 and a v = P(t)/t^N 1 in rationals, so a1 v = -1 wherever P(t) = 0
