@@ -23,10 +23,9 @@ import numpy as np
 from . import __version__
 from .determinants import (
     NodeSet,
-    exact_det,
     gapped_vandermonde,
     gapped_vandermonde_S,
-    spoly_matrix,
+    spoly_det,
     vandermonde_S,
     vandermonde_power,
 )
@@ -208,8 +207,9 @@ def _suite_a(rng) -> list:
     for x in xs:
         n = int(rng.integers(0, 31))
         s = [spoly_eval(k, x, n) for k in range(21)]
+        xf = float(x)
         for k in range(2, 21):
-            got = spoly_recursion_step(k, float(x), n, s[k - 1], s[k - 2])
+            got = spoly_recursion_step(k, xf, n, s[k - 1], s[k - 2])
             worst = max(worst, abs(got - s[k]) / max(abs(s[k]), 1e-30))
     count = 19 * len(xs)  # k = 2..20 at each point
     return [{"identity": "three_term_recursion", "instances": count, "max_residual": worst, "pass": worst <= IDENTITY_TOL}]
@@ -287,7 +287,7 @@ def _suite_c(rng) -> list:
         gap = int(rng.integers(0, N))
         x = _rand_x(rng)
         nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-        det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
+        det = float(spoly_det(nodes, x))
         want = gapped_vandermonde_S(N, gap, float(x))
         worst = max(worst, abs(det - want) / max(abs(want), 1e-300))
     results.append({"identity": "gapped_vandermonde_S_basis", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
@@ -298,7 +298,7 @@ def _suite_c(rng) -> list:
         vals = sorted(rng.choice(np.arange(0, 2 * N + 2), size=N, replace=False).tolist())
         nodes = NodeSet(tuple(int(v) for v in vals))
         x = _rand_x(rng)
-        det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
+        det = float(spoly_det(nodes, x))
         want = vandermonde_S(nodes, float(x))
         worst = max(worst, abs(det - want) / max(abs(want), 1e-300))
     results.append({"identity": "S_basis_product_rule", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})

@@ -3,10 +3,14 @@
 Also `exact_det`, the exact determinant of a rational matrix: each row is
 scaled to integers once, by the lcm of its denominators, and Bareiss's
 fraction-free elimination (Math. Comp. 22, 565 (1968)) runs on the integers,
-where every division is exact.  Then the gapped Vandermondians that the
-`identities` suites check, and `dense_det`, a float LU determinant that no
-module calls: the tests use it as a reference, and it stays in the package
-only because perfbench/run.py traces it by its module path.
+where every division is exact.  `spoly_det` is the exact determinant of the
+S-basis matrix: row k shares the denominator b^{2k} of x = a/b, so Bareiss
+runs on the integer rows `spoly_scaled` gives and one division by
+b^{N(N-1)} replaces a gcd-reduced `Fraction` per element.  Then the gapped
+Vandermondians that the `identities` suites check, and `dense_det`, a float
+LU determinant that no module calls: the tests use it as a reference, and it
+stays in the package only because perfbench/run.py traces it by its module
+path.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "vandermonde_power",
     "vandermonde_S",
     "spoly_matrix",
+    "spoly_det",
     "gapped_vandermonde",
     "gapped_vandermonde_S",
 ]
@@ -145,6 +150,16 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
     div = Fraction if exact else operator.truediv
     rows = [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
     return rows if exact else np.array(rows)
+
+
+def spoly_det(nodes: NodeSet, x) -> Fraction:
+    """Exact det of `spoly_matrix(nodes, x)`: row k is `spoly_scaled` over the
+    one denominator b^{2k}, so Bareiss runs on the integer rows and the
+    product b^{N(N-1)} divides once at the end."""
+    a, b = integer_ratio(x)
+    N = len(nodes)
+    det = exact_det([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(N)])
+    return det / b ** (N * (N - 1))
 
 
 def gapped_vandermonde(N: int, gap: int) -> int:

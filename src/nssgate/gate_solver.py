@@ -265,13 +265,19 @@ def _weights(nodes: NodeSet, t) -> list:
     with f_l(x) = prod_{m != l} (x - n_m).  For any f of degree < N,
     sum_j Delta^j f(0) s^j = sum_{i<N} c_i f(i), where c_i are the coefficients
     of y(x - 1) = sum_j s^j (x - 1)^j; so one c, taken over the common
-    denominator (1+t)^{N-1}, serves every row.  F(x) = prod_m (x - n_m) gives
+    denominator (1+t)^{N-1}, serves every row.  The geometric sum gives
+    (1+s-sx) y(x-1) = 1 - s^N (x-1)^N, which times (q+m)^N is the two-term
+    recurrence q c_i = -m c_{i-1} + [i=0] (q+m)^N - (-m)^N C(N,i) (-1)^{N-i},
+    each step an exact division by q.  F(x) = prod_m (x - n_m) gives
     f_l(i) = F(i) / (i - n_l) and vanishes at every node, so only c_{n_l} f_l(n_l)
     (if n_l < N) and c_g F(g) / (g - n_l) for each gap g of {0..N-1} remain:
     the minimal nodes have no gaps, and there u = c."""
     N = len(nodes)
     m, q = t.as_integer_ratio()  # t = m/q, so s = -m/(q+m)
-    c = _shift([(-m) ** k * (q + m) ** (N - 1 - k) for k in range(N)], -1)
+    c, w, e = [], (q + m) ** N, m**N  # w = -m c_{i-1} + [i=0] (q+m)^N, e = (-1)^i C(N,i) m^N
+    for i in range(N):
+        c.append((w - e) // q)
+        w, e = -m * c[i], -e * (N - i) // (i + 1)
     gaps = [(g, c[g] * math.prod(g - n for n in nodes)) for g in set(range(N)).difference(nodes)]
     den, u = (q + m) ** (N - 1), []
     for n in nodes:

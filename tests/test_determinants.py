@@ -11,6 +11,7 @@ from nssgate.determinants import (
     exact_det,
     gapped_vandermonde,
     gapped_vandermonde_S,
+    spoly_det,
     spoly_matrix,
     vandermonde_S,
     vandermonde_power,
@@ -186,6 +187,28 @@ def test_vandermonde_S_product_rule_random():
         x = Fraction(int(rng.integers(-949, 950)), 1000)
         det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
         assert det == pytest.approx(vandermonde_S(nodes, float(x)), rel=1e-9)
+
+
+def _product_rule_exact(nodes, x) -> Fraction:
+    """V(n) prod_k (x^2-1)^k / k! in Fractions."""
+    u = Fraction(x) ** 2 - 1
+    return vandermonde_power(nodes) * math.prod(u**k / math.factorial(k) for k in range(len(nodes)))
+
+
+def test_spoly_det_equals_the_matrix_determinant_and_the_product_rule():
+    # one division by b^{N(N-1)} after Bareiss on the integer rows gives the
+    # Fraction of the element-wise exact matrix, and the closed form exactly:
+    # every N = 1..6 set in 0..N+3, at x = 0 and +-1 (singular rows for N > 1),
+    # thirds, a sample point of the suites and a binary float; then N = 10
+    rng = np.random.default_rng(SEED)
+    small = [s for N in range(1, 7) for s in itertools.combinations(range(N + 4), N)]
+    large = [tuple(sorted(int(v) for v in rng.choice(22, size=10, replace=False))) for _ in range(8)]
+    for nodes in map(NodeSet, small + large):
+        for x in (0, 1, -1, Fraction(1, 3), Fraction(-949, 1000), 0.37):
+            det = spoly_det(nodes, x)
+            assert type(det) is Fraction, (nodes, x)
+            assert det == exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
+            assert det == _product_rule_exact(nodes, x), (nodes, x)
 
 
 def test_gapped_examples():
