@@ -106,12 +106,18 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     scales = [math.lcm(*(d for _, d in row)) for row in m]
-    a = [[p * (s // d) for p, d in row] for row, s in zip(m, scales)]
+    return Fraction(_bareiss([[p * (s // d) for p, d in row] for row, s in zip(m, scales)]), math.prod(scales))
+
+
+def _bareiss(a: list) -> int:
+    """Determinant of the square integer matrix a (a list of rows, consumed)
+    by Bareiss's fraction-free elimination; 0x0 gives 1."""
+    n = len(a)
     sign = prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
@@ -119,7 +125,7 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
             for c in range(col + 1, n):
                 a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
         prev = a[col][col]
-    return Fraction(sign * prev, math.prod(scales))
+    return sign * prev
 
 
 def vandermonde_power(nodes: NodeSet) -> int:
@@ -158,8 +164,7 @@ def spoly_det(nodes: NodeSet, x) -> Fraction:
     product b^{N(N-1)} divides once at the end."""
     a, b = integer_ratio(x)
     N = len(nodes)
-    det = exact_det([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(N)])
-    return det / b ** (N * (N - 1))
+    return Fraction(_bareiss([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(N)]), b ** (N * (N - 1)))
 
 
 def gapped_vandermonde(N: int, gap: int) -> int:

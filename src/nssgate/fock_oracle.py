@@ -60,16 +60,20 @@ def _sectors(top: int, bs: BeamSplitter) -> list:
         raise ValueError("photon number must be non-negative")
     if top > SECTOR_CAP:
         raise ValueError(f"sector M={top} exceeds cap {SECTOR_CAP}")
-    T, r = bs.T, bs.r
+    sq = np.sqrt(np.arange(1.0, top + 1))  # sqrt(j+1) for j = 0..top-1
+    tsq, rsq = bs.T * sq, bs.r * sq
     us = [np.ones((1, 1))]
     for M in range(1, top + 1):
-        s = np.sqrt(np.arange(1.0, M + 1))[:, None]  # sqrt(j+1) for j = 0..M-1
         # the column of U_{M-1} each column of U_M starts from, over sqrt(M), sqrt(1), ..., sqrt(M)
-        prev = np.hstack([us[-1][:, :1] / s[-1], us[-1] / s.T])
-        a, b = np.where(np.arange(M + 1) > 0, [[T], [r]], [[-r], [T]])  # coefficients of a+ and b+ in each column
+        prev = np.empty((M, M + 1))
+        prev[:, 0] = us[-1][:, 0] / sq[M - 1]
+        prev[:, 1:] = us[-1] / sq[:M]
         u = np.zeros((M + 1, M + 1))
-        u[1:] = a * s * prev  # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j>
-        u[:-1] += b * s[::-1] * prev  # b+ |j, M-1-j> = sqrt(M-j) |j, M-j>
+        # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j> and b+ |j, M-1-j> = sqrt(M-j) |j, M-j>
+        u[1:, 0] = -rsq[:M] * prev[:, 0]  # column 0: (-r a+ + T b+)
+        u[:-1, 0] += tsq[M - 1 :: -1] * prev[:, 0]
+        u[1:, 1:] = tsq[:M, None] * prev[:, 1:]  # columns 1..M: (T a+ + r b+)
+        u[:-1, 1:] += rsq[M - 1 :: -1, None] * prev[:, 1:]
         us.append(u)
     return us
 

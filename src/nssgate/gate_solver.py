@@ -172,10 +172,45 @@ def _exact_sign(coeffs: list, t: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _bisect_root(coeffs: list, lo: float, hi: float, slo: int) -> float:
+def _float_root(f: list, lo: float, hi: float) -> float:
+    """Newton's method on the float polynomial f (lowest power first) from the
+    midpoint of (lo, hi); a step that leaves (lo, hi) becomes a half-step
+    towards the end it crosses.  Stops once a step is below BISECT_TOL |x| / 8,
+    or after 16 steps."""
+    x = 0.5 * (lo + hi)
+    for _ in range(16):
+        p = dp = 0.0
+        for c in reversed(f):  # Horner for f and f'
+            dp = dp * x + p
+            p = p * x + c
+        if not dp:
+            break
+        step = p / dp
+        nx = x - step
+        if not lo < nx < hi:
+            nx = 0.5 * (x + (lo if nx <= lo else hi))
+        elif abs(step) <= BISECT_TOL * abs(x) / 8:
+            return nx
+        x = nx
+    return x
+
+
+def _bisect_root(coeffs: list, f: list, lo: float, hi: float, slo: int) -> float:
+    """The one simple root in (lo, hi), sign slo just inside lo, bisected with
+    exact signs to the relative width BISECT_TOL.  If the exact signs at
+    L, H = x -+ BISECT_TOL |x| around the float root x (`_float_root` on the
+    float image f) are slo and -slo, the root lies in (L, H), and a midpoint
+    outside it takes its sign from that certificate; otherwise (L, H) = (lo, hi)
+    and every midpoint's sign is computed.  Either way the brackets, and so
+    the returned float, are those of exact signs at every midpoint."""
+    x = _float_root(f, lo, hi)
+    d = BISECT_TOL * abs(x)
+    L, H = x - d, x + d
+    if not (lo < L and H < hi and _exact_sign(coeffs, L) == slo and _exact_sign(coeffs, H) == -slo):
+        L, H = lo, hi
     while hi - lo > BISECT_TOL * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        smid = _exact_sign(coeffs, mid)
+        smid = slo if mid <= L else -slo if mid >= H else _exact_sign(coeffs, mid)
         if smid == 0:
             return mid
         lo, hi = (mid, hi) if smid == slo else (lo, mid)
@@ -203,9 +238,13 @@ def _real_roots(coeffs: list) -> list:
     BISECT_TOL; otherwise it is halved, its midpoint kept if q vanishes
     there, until it is narrower than BISECT_TOL in absolute width, where it
     is kept if v is odd (p changes sign across it; an even-multiplicity root
-    ends here).
+    ends here).  The float image f of p, each coefficient over one power of
+    two, is taken once: |f| <= d + 1 and |f'| <= d^2 on [-1, 1], so Newton's
+    method on it overflows at no degree.
     """
     p = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
+    scale = 1 << max(c.bit_length() for c in p)
+    f = [c / scale for c in p]
     roots = [t for t in (-1.0, 1.0) if _exact_sign(p, t) == 0]
     stack = [([b << i for i, b in enumerate(_shift(p, -1))], 0, 0)]  # (q, k, c): x in [c, c+1] / 2^k
     while stack:
@@ -214,7 +253,7 @@ def _real_roots(coeffs: list) -> list:
         v = sum(a != b for a, b in zip(signs, signs[1:]))
         lo, hi = ((2 * e - (1 << k)) / (1 << k) for e in (c, c + 1))
         if v == 1:
-            roots.append(_bisect_root(p, lo, hi, 1 if signs[-1] else -1))
+            roots.append(_bisect_root(p, f, lo, hi, 1 if signs[-1] else -1))
         elif v > 1 and hi - lo >= BISECT_TOL:
             left = [b << (len(q) - 1 - i) for i, b in enumerate(q)]  # 2^d q(x/2)
             right = _shift(left)
@@ -230,8 +269,9 @@ def find_transmission(nodes: NodeSet) -> list:
     """Real roots of det(a(T)) on [-1, 1], T = 0 excluded, ascending: those of
     the secular polynomial P (`secular_polynomial`), isolated exactly and
     completely, each bisected with exact signs to the relative width
-    BISECT_TOL.  T = +-1, where det(a2) vanishes with det(a), are roots only
-    where P vanishes, as at T = -1 for N = 1.
+    BISECT_TOL (most signs taken from a float root and its two-sign
+    certificate, `_bisect_root`).  T = +-1, where det(a2) vanishes with
+    det(a), are roots only where P vanishes, as at T = -1 for N = 1.
     """
     return _real_roots(secular_polynomial(nodes))
 

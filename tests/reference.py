@@ -12,6 +12,8 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   difference table and Taylor shifts replace;
 - the gate weights u = C'^{-1} y by the sum over all N points 0..N-1, which
   the package cuts to the node itself and the gaps of {0..N-1};
+- the bisection of an isolated root with an exact sign at every midpoint,
+  which the package replays from a float root and a two-sign certificate;
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
   as a polynomial in n, and the weight sequences s_l in both forms.
 """
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nssgate.determinants import NodeSet
+from nssgate.gate_solver import BISECT_TOL
 from nssgate.polynomials import binomial
 
 
@@ -153,6 +156,22 @@ def secular_polynomial_reference(nodes: NodeSet) -> list:
     tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
     head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
     return [h + c for h, c in zip(head, tail)]
+
+
+def bisect_root_reference(coeffs: list, lo: float, hi: float, slo: int) -> float:
+    """The one simple root of the integer polynomial (lowest power first) in
+    (lo, hi), with sign slo just inside lo, bisected to the relative width
+    `BISECT_TOL` with the sign of q^d P(m/q) at every midpoint m/q; a midpoint
+    where P vanishes is returned as it is."""
+    d = len(coeffs) - 1
+    while hi - lo > BISECT_TOL * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        m, q = mid.as_integer_ratio()
+        value = sum(c * m**k * q ** (d - k) for k, c in enumerate(coeffs))
+        if value == 0:
+            return mid
+        lo, hi = (mid, hi) if (value > 0) == (slo > 0) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def weights_reference(nodes: NodeSet, t) -> list:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nssgate import gate_solver
 from nssgate.determinants import NodeSet, dense_det, exact_det
 from nssgate.fock_oracle import SignalState, apply_gate
 from nssgate.gate_solver import (
@@ -25,6 +26,7 @@ from nssgate.optimizer import scan_nodes
 from nssgate.polynomials import spoly_eval_exact
 from reference import (
     _polymul,
+    bisect_root_reference,
     coefficient_matrix_exact,
     cofactor_closed_form,
     denominator_closed_form,
@@ -379,19 +381,19 @@ def _sturm_count(coeffs):
     return variations(-1) - variations(1) + (sum(c * (-1) ** i for i, c in enumerate(p)) == 0)
 
 
+SYNTHETIC = [
+    (([-599, 2000], [-2999, 10000]), [0.2995, 0.2999]),  # 4e-4 apart, between two points of a 1e-3 grid
+    (([-1, 2_000_000],), [5e-7]),
+    (([-1, 4], [-1, 4], [-1, 2_000_000]), [5e-7, 0.25]),  # 1/4 is a bisection midpoint
+    (([-1, 3], [-1, 3], [1, 5]), [-0.2]),  # the double root has no sign change
+    (([-3, 8],), [0.375]),  # _bisect_root lands on the root exactly
+    (([-1, 3],) * 3, [1 / 3]),  # the triple root is kept by its odd v once the interval is narrow
+]
+SYNTHETIC_IDS = ["close_pair", "near_zero", "midpoint_double_root", "even_multiplicity", "exact_hit", "triple_root"]
+
+
 class TestRealRoots:
-    @pytest.mark.parametrize(
-        "factors, want",
-        [
-            (([-599, 2000], [-2999, 10000]), [0.2995, 0.2999]),  # 4e-4 apart, between two points of a 1e-3 grid
-            (([-1, 2_000_000],), [5e-7]),
-            (([-1, 4], [-1, 4], [-1, 2_000_000]), [5e-7, 0.25]),  # 1/4 is a bisection midpoint
-            (([-1, 3], [-1, 3], [1, 5]), [-0.2]),  # the double root has no sign change
-            (([-3, 8],), [0.375]),  # _bisect_root lands on the root exactly
-            (([-1, 3],) * 3, [1 / 3]),  # the triple root is kept by its odd v once the interval is narrow
-        ],
-        ids=["close_pair", "near_zero", "midpoint_double_root", "even_multiplicity", "exact_hit", "triple_root"],
-    )
+    @pytest.mark.parametrize("factors, want", SYNTHETIC, ids=SYNTHETIC_IDS)
     def test_synthetic_polynomials(self, factors, want):
         got = _real_roots(functools.reduce(_polymul, factors))
         assert len(got) == len(want)
@@ -408,6 +410,126 @@ class TestRealRoots:
         for nodes in sets:
             nodes = NodeSet(nodes)
             assert len(find_transmission(nodes)) == _sturm_count(secular_polynomial(nodes)), nodes
+
+
+def _wide_sets():
+    """Five seeded node sets each for N = 20, 40 and 80, drawn from 0..3N-1."""
+    rng = np.random.default_rng(SEED)
+    return [tuple(sorted(int(v) for v in rng.choice(3 * N, size=N, replace=False))) for N in (20, 40, 80) for _ in range(5)]
+
+
+# the N = 40 wide set that CI solves: its one root takes the uncertified path
+WIDE_40 = (
+    *(3, 8, 12, 13, 17, 22, 23, 24, 29, 30, 32, 35, 38, 40, 41, 47, 49, 50, 53, 55),
+    *(57, 60, 66, 67, 70, 73, 74, 80, 81, 87, 88, 92, 94, 107, 113, 114, 115, 117, 118, 119),
+)
+
+
+def _reference_roots(coeffs, monkeypatch):
+    """`_real_roots` with every isolated root bisected by `bisect_root_reference`."""
+    with monkeypatch.context() as mp:
+        mp.setattr(gate_solver, "_bisect_root", lambda p, f, lo, hi, slo: bisect_root_reference(p, lo, hi, slo))
+        return _real_roots(coeffs)
+
+
+def _uncertified(nodes, monkeypatch):
+    """The float roots x of `find_transmission(nodes)` whose exact signs at
+    x -+ BISECT_TOL |x| do not bracket the root inside its isolating interval."""
+    coeffs = secular_polynomial(NodeSet(nodes))
+    float_root, calls = gate_solver._float_root, []
+
+    def spy(f, lo, hi):
+        calls.append((lo, hi, float_root(f, lo, hi)))
+        return calls[-1][2]
+
+    def sign(t):
+        value = sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+        return (value > 0) - (value < 0)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gate_solver, "_float_root", spy)
+        find_transmission(NodeSet(nodes))
+    out = []
+    for lo, hi, x in calls:
+        L, H = x - BISECT_TOL * abs(x), x + BISECT_TOL * abs(x)
+        if not (lo < L and H < hi and sign(L) * sign(H) == -1):
+            out.append(x)
+    return out
+
+
+class TestCertifiedRefinement:
+    """Each isolated root is refined in floats and certified by two exact signs;
+    the bisection replays the exact-sign brackets, so the roots are those of
+    an exact sign at every midpoint, bit for bit."""
+
+    def test_roots_equal_the_exact_bisection(self, monkeypatch):
+        sets = [s for N in range(1, 9) for s in itertools.combinations(range(N + 4), N)]
+        sets += [tuple(range(N)) for N in range(1, 61)] + _wide_sets()
+        for nodes in sets:
+            coeffs = secular_polynomial(NodeSet(nodes))
+            assert find_transmission(NodeSet(nodes)) == _reference_roots(coeffs, monkeypatch), nodes
+
+    @pytest.mark.parametrize("factors", [f for f, _ in SYNTHETIC], ids=SYNTHETIC_IDS)
+    def test_synthetic_roots_equal_the_exact_bisection(self, factors, monkeypatch):
+        coeffs = functools.reduce(_polymul, factors)
+        assert _real_roots(coeffs) == _reference_roots(coeffs, monkeypatch)
+
+    def test_wide_sets_take_the_uncertified_path(self, monkeypatch):
+        # the float image of P cancels at these degrees, so the full exact loop runs
+        sets = _wide_sets()
+        assert WIDE_40 in sets
+        for nodes in sets:
+            assert _uncertified(nodes, monkeypatch), nodes
+
+    def test_minimal_roots_are_certified(self, monkeypatch):
+        for N in range(1, 61):
+            assert not _uncertified(tuple(range(N)), monkeypatch), N
+
+    @pytest.mark.parametrize("wrong", ["lo_neighbour", "outside", "midpoint"])
+    def test_a_wrong_float_root_leaves_the_roots_unchanged(self, wrong, monkeypatch):
+        points = {
+            "lo_neighbour": lambda lo, hi: math.nextafter(lo, hi),
+            "outside": lambda lo, hi: hi + (hi - lo),
+            "midpoint": lambda lo, hi: 0.5 * (lo + hi),  # inside, so its two exact signs are taken
+        }
+        sets = [tuple(range(N)) for N in range(1, 21)] + [s for N in range(2, 6) for s in itertools.combinations(range(N + 4), N)]
+        want = {nodes: find_transmission(NodeSet(nodes)) for nodes in sets + list(GAPPED)}
+        monkeypatch.setattr(gate_solver, "_float_root", lambda f, lo, hi: points[wrong](lo, hi))
+        for nodes, roots in want.items():
+            assert find_transmission(NodeSet(nodes)) == roots, nodes
+        for factors, _ in SYNTHETIC:
+            coeffs = functools.reduce(_polymul, factors)
+            assert _real_roots(coeffs) == _reference_roots(coeffs, monkeypatch)
+
+    @pytest.mark.parametrize("x", [0.2, 0.6])
+    def test_a_float_root_outside_the_interval_is_not_certified(self, x, monkeypatch):
+        # roots 1/5, 2/5 and 3/5 in three isolating intervals: P changes sign from
+        # slo to -slo across 3/5 as across the root 1/5 of (0, 1/4), and across 1/5
+        # as across the root 3/5 of (1/2, 1)
+        coeffs = functools.reduce(_polymul, ([-1, 5], [-2, 5], [-3, 5]))
+        want = _reference_roots(coeffs, monkeypatch)
+        monkeypatch.setattr(gate_solver, "_float_root", lambda f, lo, hi: x)
+        assert _real_roots(coeffs) == want
+
+    def test_few_exact_signs_per_root(self, monkeypatch):
+        counts = []  # exact signs made by each bisection, after the endpoint checks at T = +-1
+        sign, bisect = gate_solver._exact_sign, gate_solver._bisect_root
+
+        def counting_sign(coeffs, t):
+            if counts:
+                counts[-1] += 1
+            return sign(coeffs, t)
+
+        def counting_bisect(*args):
+            counts.append(0)
+            return bisect(*args)
+
+        monkeypatch.setattr(gate_solver, "_exact_sign", counting_sign)
+        monkeypatch.setattr(gate_solver, "_bisect_root", counting_bisect)
+        for N in range(2, 15):
+            counts.clear()
+            find_transmission(NodeSet.minimal(N))
+            assert counts and max(counts) <= 8, (N, counts)
 
 
 class TestCofactors:
