@@ -143,21 +143,23 @@ def secular_polynomial(nodes: NodeSet) -> list:
     so q(x) = C(x, N) - prod_l (x - n_l) / N!, and z_j is the j-th forward
     difference of q at 0.  z = 0 for the minimal nodes, where P is the paper's
     t^N [2 - (1-t)^N].  det(a2) vanishes only at T = +-1, which P leaves out.
-    Additions only: a difference table gives N! z; the sum over j, Z(t), is
-    (-t)^{N-1} R(-1 - 1/t) with R(w) = sum_j z_j w^{N-1-j}, one Taylor shift;
-    and N! P = 2 N! t^N + (t-1)^N g(t), g = (t+1) Z - (-1)^N N! t^N, two more.
+    Additions only: a difference table gives N! z, and z_N = -N! is appended;
+    N + 1 Horner passes "times (1+t), add (-1)^j z_j at t^j" give g(t) =
+    sum_{j<=N} z_j (-t)^j (1+t)^{N-j}, and N passes "times (t-1)" over its
+    nonzero coefficients give N! P = 2 N! t^N + (t-1)^N g(t).
     """
     N = len(nodes)
-    f = math.factorial(N)
-    z = [-math.prod(i - n for n in nodes) for i in range(N)]  # N! q(i)
+    f, g = math.factorial(N), []
+    z = [-math.prod(i - n for n in nodes) for i in range(N)] + [-f]  # N! q(i), then z_N
     for j in range(1, N):  # difference table, in place: z[j] = N! Delta^j q(0)
         for i in range(N - 1, j - 1, -1):
             z[i] -= z[i - 1]
-    r = _shift(z[::-1], -1)  # R(w - 1)
-    zsum = [(-1) ** i * r[N - 1 - i] for i in range(N)]  # Z(t) = (-t)^{N-1} R(-1 - 1/t)
-    g = [a + b for a, b in zip(zsum + [0], [0] + zsum)]  # (t+1) Z(t)
-    g[N] -= (-1) ** N * f
-    out = _shift([0] * N + _shift(g, 1), -1)  # t^N g(t + 1) at t - 1
+    for j, zj in enumerate(z):  # g = sum_{i<=j} z_i (-t)^i (1+t)^{j-i}
+        g = [a + b for a, b in zip(g + [0], [0] + g)]
+        g[j] += -zj if j % 2 else zj
+    lo, out = next(i for i, c in enumerate(g) if c), g + [0] * N  # g(-1) = -N!, so g != 0
+    for d in range(N + 1, 2 * N + 1):  # times (t - 1), on out of degree < d, zero below t^lo
+        out[lo : d + 1] = [a - b for a, b in zip([0] + out[lo:d], out[lo : d + 1])]
     out[N] += 2 * f
     return out
 
@@ -217,12 +219,12 @@ def _bisect_root(coeffs: list, f: list, lo: float, hi: float, slo: int) -> float
     return 0.5 * (lo + hi)
 
 
-def _shift(coeffs: list, a: int = 1) -> list:
-    """Integer Taylor shift: the coefficients of p(x + a) from those of p(x)."""
+def _shift(coeffs: list) -> list:
+    """Integer Taylor shift: the coefficients of p(x + 1) from those of p(x)."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
-            c[j] += a * c[j + 1]
+            c[j] += c[j + 1]
     return c
 
 
@@ -231,22 +233,23 @@ def _real_roots(coeffs: list) -> list:
     (lowest power first) at which it changes sign or vanishes exactly at a
     bisection point (Collins-Akritas bisection with Descartes' rule).
 
-    With t^m divided out, q(x) = p(2x - 1) on [0, 1].  The sign variations v
-    of (1+y)^d q(1/(1+y)) bound the roots inside an interval: v = 0 drops
-    it; v = 1 hands its one simple root to `_bisect_root`, with the sign of p
-    just inside the left end, which bisects it to the relative width
-    BISECT_TOL; otherwise it is halved, its midpoint kept if q vanishes
-    there, until it is narrower than BISECT_TOL in absolute width, where it
-    is kept if v is odd (p changes sign across it; an even-multiplicity root
-    ends here).  The float image f of p, each coefficient over one power of
-    two, is taken once: |f| <= d + 1 and |f'| <= d^2 on [-1, 1], so Newton's
-    method on it overflows at no degree.
+    With t^m divided out, q(x) = p(2x - 1) on [0, 1]: a reflection and one
+    Taylor shift, q_i = (-2)^i [p~(1 + y)]_i with p~(y) = p(-y).  The sign
+    variations v of (1+y)^d q(1/(1+y)) bound the roots inside an interval:
+    v = 0 drops it; v = 1 hands its one simple root to `_bisect_root`, with
+    the sign of p just inside the left end; otherwise it is halved, its
+    midpoint kept if q vanishes there, until it is narrower than BISECT_TOL
+    in absolute width, where it is kept if v is odd (p changes sign across
+    it; an even-multiplicity root ends here).  The float image f of p, each
+    coefficient over one power of two, is taken once: |f| <= d + 1 and
+    |f'| <= d^2 on [-1, 1], so Newton's method on it overflows at no degree.
     """
     p = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
     scale = 1 << max(c.bit_length() for c in p)
     f = [c / scale for c in p]
     roots = [t for t in (-1.0, 1.0) if _exact_sign(p, t) == 0]
-    stack = [([b << i for i, b in enumerate(_shift(p, -1))], 0, 0)]  # (q, k, c): x in [c, c+1] / 2^k
+    flip = _shift([-b if i % 2 else b for i, b in enumerate(p)])  # p~(1 + y), p~(y) = p(-y)
+    stack = [([(-b if i % 2 else b) << i for i, b in enumerate(flip)], 0, 0)]  # (q, k, c): x in [c, c+1] / 2^k
     while stack:
         q, k, c = stack.pop()
         signs = [b > 0 for b in _shift(q[::-1]) if b]
@@ -296,10 +299,10 @@ def cofactors(matrix, row: int):
     return np.array(out)
 
 
-def _weights(nodes: NodeSet, t) -> list:
-    """u = C'^{-1} y as exact integer pairs (numerator, denominator), C'[j, l] =
-    C(n_l, j) and y_j = s^j with s = -t/(1+t), for a rational or float t
-    (y = (1,) for N = 1).
+def _weights(nodes: NodeSet, t) -> tuple:
+    """u = C'^{-1} y, C'[j, l] = C(n_l, j) and y_j = s^j with s = -t/(1+t), for
+    a rational or float t = m/q (y = (1,) for N = 1), as exact integer pairs
+    (num_l, D_l) and one den = (q+m)^{N-1}: u_l = num_l / (D_l den).
 
     Row l of C'^{-1} lists the forward differences Delta^j f_l(0) over f_l(n_l),
     with f_l(x) = prod_{m != l} (x - n_m).  For any f of degree < N,
@@ -310,8 +313,9 @@ def _weights(nodes: NodeSet, t) -> list:
     recurrence q c_i = -m c_{i-1} + [i=0] (q+m)^N - (-m)^N C(N,i) (-1)^{N-i},
     each step an exact division by q.  F(x) = prod_m (x - n_m) gives
     f_l(i) = F(i) / (i - n_l) and vanishes at every node, so only c_{n_l} f_l(n_l)
-    (if n_l < N) and c_g F(g) / (g - n_l) for each gap g of {0..N-1} remain:
-    the minimal nodes have no gaps, and there u = c."""
+    (if n_l < N) and G_l = sum c_g F(g) / (g - n_l) over the gaps g of {0..N-1}
+    remain: num_l = c_{n_l} D_l + G_l with D_l = f_l(n_l) where G_l != 0, else
+    D_l = 1, as on the minimal nodes, which have no gaps: there u = c / den."""
     N = len(nodes)
     m, q = t.as_integer_ratio()  # t = m/q, so s = -m/(q+m)
     c, w, e = [], (q + m) ** N, m**N  # w = -m c_{i-1} + [i=0] (q+m)^N, e = (-1)^i C(N,i) m^N
@@ -319,12 +323,12 @@ def _weights(nodes: NodeSet, t) -> list:
         c.append((w - e) // q)
         w, e = -m * c[i], -e * (N - i) // (i + 1)
     gaps = [(g, c[g] * math.prod(g - n for n in nodes)) for g in set(range(N)).difference(nodes)]
-    den, u = (q + m) ** (N - 1), []
+    u = []
     for n in nodes:
-        D = math.prod(n - k for k in nodes if k != n)  # f_l(n_l)
-        num = (c[n] * D if n < N else 0) + sum(cF // (g - n) for g, cF in gaps)
-        u.append((num, D * den))
-    return u
+        G = sum(cF // (g - n) for g, cF in gaps)
+        D = math.prod(n - k for k in nodes if k != n) if G else 1  # f_l(n_l)
+        u.append(((c[n] * D if n < N else 0) + G, D))
+    return u, (q + m) ** (N - 1)
 
 
 def _to_decimal(num: int, den: int) -> Decimal:
@@ -353,9 +357,9 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
     u = C'^{-1} y is exact (`_weights`).  Scaled to a2 v = 1, the weights
     alpha_l gamma_l = v_l / ||v||_1 give every level k < N the amplitude
     lambda_k = +1/||v||_1, and at a root lambda_N = f^T v / ||v||_1 =
-    -1/||v||_1, so p = 1/||v||_1^2.  v_l = u_l / T^{n_l} is evaluated as it
-    stands, to 34 digits in `DECIMAL_CONTEXT`, and p and each weight are
-    rounded once to a float.
+    -1/||v||_1, so p = 1/||v||_1^2.  v_l den = num_l / (D_l T^{n_l}) is taken
+    to 34 digits in `DECIMAL_CONTEXT`, p alone divides by den, and p and
+    each weight are rounded once to a float.
 
     Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
     enters.  Any other T raises ValueError, and so do photon numbers whose
@@ -368,10 +372,11 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
     try:
         with decimal.localcontext(DECIMAL_CONTEXT):
             tn = Decimal(t)
-            v = [_to_decimal(num, den) / tn**n for n, (num, den) in zip(nodes, _weights(nodes, t))]
+            u, den = _weights(nodes, t)
+            v = [_to_decimal(num, D) / tn**n for n, (num, D) in zip(nodes, u)]  # v_l den
             total = sum(abs(x) for x in v)
             ratios = [float(x / total) for x in v]
-            p = float(1 / (total * total))
+            p = float((_to_decimal(den, 1) / total) ** 2)
     except ArithmeticError:
         raise ValueError("photon numbers too large: T^n leaves the decimal exponent range") from None
     mags = [math.sqrt(abs(r)) for r in ratios]

@@ -9,7 +9,7 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   rather than the package's S sum, and the closed forms of det(a), the
   last-row cofactors and the numerator and denominator of p;
 - the secular polynomial from its binomial sums, the route the package's
-  difference table and Taylor shifts replace;
+  difference table and Horner passes replace;
 - the gate weights u = C'^{-1} y by the sum over all N points 0..N-1, which
   the package cuts to the node itself and the gaps of {0..N-1};
 - the bisection of an isolated root with an exact sign at every midpoint,
@@ -174,11 +174,14 @@ def bisect_root_reference(coeffs: list, lo: float, hi: float, slo: int) -> float
     return 0.5 * (lo + hi)
 
 
-def weights_reference(nodes: NodeSet, t) -> list:
-    """`nssgate.gate_solver._weights` as (numerator, denominator) pairs by the
-    sum over every i < N: u_l = sum_i c_i f_l(i) / f_l(n_l), with c_i the
+def weights_reference(nodes: NodeSet, t) -> tuple:
+    """`nssgate.gate_solver._weights` by the sum over every i < N: pairs
+    (num_l, D_l) and den = (q+m)^{N-1} at t = m/q, u_l = num_l / (D_l den),
+    with num_l = sum_i c_i f_l(i) and D_l = f_l(n_l) on every node, c_i the
     coefficients of y(x - 1) over (1+t)^{N-1} by Horner's rule in x - 1,
-    f_l(i) = F(i) / (i - n_l) for i != n_l and F(x) = prod_m (x - n_m)."""
+    f_l(i) = F(i) / (i - n_l) for i != n_l and F(x) = prod_m (x - n_m).
+    `_weights` forms D_l only where a gap term enters, so the two agree as
+    rationals num_l / D_l, not as integer pairs."""
     N = len(nodes)
     m, q = t.as_integer_ratio()
     c = []
@@ -189,9 +192,8 @@ def weights_reference(nodes: NodeSet, t) -> list:
     u = []
     for n in nodes:
         D = math.prod(n - k for k in nodes if k != n)
-        num = sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F)))
-        u.append((num, D * (q + m) ** (N - 1)))
-    return u
+        u.append((sum(ci * (D if i == n else Fi // (i - n)) for i, (ci, Fi) in enumerate(zip(c, F))), D))
+    return u, (q + m) ** (N - 1)
 
 
 def det_closed_form(N: int, T: float) -> float:

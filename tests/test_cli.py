@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import ScanReport
+from test_gate_solver import WIDE_40
 
 SEARCH_SETTINGS = ("bisect_tol", "identity_tol")
 
@@ -338,6 +340,24 @@ class TestIdentities:
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(a))[0] == 0
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the stdout of four reports: the roots, the weights and p, as
+# printed, must not change by a bit when the solver's arithmetic does (a
+# version or schema change alters them too)
+PINNED_OUTPUTS = {
+    "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "a3d589082217706fab0efb6a52341bcfaf238feaf17f27adef14f9ce742814aa"),
+    "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
+    "solve_2..61": (("solve", "--n", "60", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
+    "solve_wide_40": (("solve", "--n", "40", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [("verify", "--n", "2"), ("identities", "--suite", "a")], ids=["verify", "identities"])

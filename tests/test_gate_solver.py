@@ -338,7 +338,7 @@ class TestSecularPolynomial:
             assert P(t) == 0 or (P(t - d) < 0) != (P(t + d) < 0), t
 
     def test_minimal_nodes_give_the_paper_polynomial(self):
-        for N in [*range(1, 15), 100, 300]:
+        for N in [*range(1, 15), 100, 300, 1000]:
             coeffs = secular_polynomial(NodeSet.minimal(N))
             bracket = [2 * (k == 0) - math.comb(N, k) * (-1) ** k for k in range(N + 1)]
             assert coeffs == [0] * N + [math.factorial(N) * c for c in bracket]
@@ -613,7 +613,8 @@ class TestCofactors:
 def _exact_null_vector(nodes, t):
     """v = D_n^{-1} C'^{-1} y in rationals, y_j = s^j, s = -t/(1+t) (y = (1,) for N = 1),
     from the weights that success_probability rounds."""
-    return [Fraction(num, den) / Fraction(t) ** n for n, (num, den) in zip(nodes, _weights(nodes, t))]
+    u, den = _weights(nodes, t)
+    return [Fraction(num, D * den) / Fraction(t) ** n for n, (num, D) in zip(nodes, u)]
 
 
 def _exact_p(nodes, t):
@@ -689,15 +690,15 @@ class TestSuccessProbability:
         s = -Fraction(t) / (1 + Fraction(t))
         # (4..7): every photon number >= N, so no node has its own term; (1..5): a gap at 0
         for nodes in (NodeSet.minimal(5), NodeSet((1, 3, 4, 9)), NodeSet(GAPPED[4]), NodeSet((4, 5, 6, 7)), NodeSet((1, 2, 3, 4, 5))):
-            pairs = _weights(nodes, t)
+            pairs, den = _weights(nodes, t)
             assert len(pairs) == len(nodes) and all(type(a) is int and type(b) is int for a, b in pairs)
-            u = [Fraction(a, b) for a, b in pairs]
+            u = [Fraction(a, b * den) for a, b in pairs]
             for j in range(len(nodes)):
                 assert sum(math.comb(n, j) * x for n, x in zip(nodes, u)) == s**j, (nodes, j)
 
     def test_weights_equal_the_full_sum_reference(self):
         # the sum over the node and the gaps of {0..N-1}, with c from its
-        # two-term recurrence, gives the same integer pairs as the sum over
+        # two-term recurrence, gives the same rationals as the sum over
         # every i < N with c by Horner's rule: every N = 1..8 set in 0..N+3 at
         # each of its roots, and seeded gapped sets and minimal N = 300; the
         # float T = -0.999 and 1 - 2^{1/N} on all but the gapped N = 300 set,
@@ -709,7 +710,10 @@ class TestSuccessProbability:
             roots = find_transmission(nodes) if len(nodes) <= 8 else []
             floats = [-0.999, optimal_transmission(len(nodes))] if nodes.values != large[-1] else []
             for t in [Fraction(-3, 7), Fraction(2, 9), *floats, *roots]:
-                assert _weights(nodes, t) == weights_reference(nodes, t), (nodes, t)
+                (u, den), (ref, ref_den) = _weights(nodes, t), weights_reference(nodes, t)
+                assert den == ref_den and [Fraction(*x) for x in u] == [Fraction(*x) for x in ref], (nodes, t)
+                if nodes == NodeSet.minimal(len(nodes)):  # no gaps, so no f_l(n_l) is formed
+                    assert all(D == 1 for _, D in u), (nodes, t)
 
     def test_null_vector_exact(self):
         # a2 v = 1 and a v = P(t)/t^N 1 in rationals, so a1 v = -1 wherever P(t) = 0
@@ -728,7 +732,12 @@ class TestSuccessProbability:
         a1, _ = coefficient_matrix_exact(NodeSet((3,)), Fraction(-1))
         assert a1[0][0] * _exact_null_vector(NodeSet((3,)), Fraction(-1))[0] == -1
 
-    @pytest.mark.parametrize("nodes", [tuple(range(N)) for N in range(1, 15)] + list(GAPPED) + [(0, 2), (1, 2, 4), (0, 2, 3, 7)], ids=str)
+    # (0, 3, 400) and (1, 5, 200, 201): photon numbers far above N, so gap terms on nodes without an own term
+    @pytest.mark.parametrize(
+        "nodes",
+        [tuple(range(N)) for N in range(1, 15)] + list(GAPPED) + [(0, 2), (1, 2, 4), (0, 2, 3, 7), (0, 3, 400), (1, 5, 200, 201)],
+        ids=str,
+    )
     def test_p_matches_exact_rational_p(self, nodes):
         nodes = NodeSet(nodes)
         for t in find_transmission(nodes):
