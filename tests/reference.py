@@ -15,15 +15,20 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
 - the bisection of an isolated root with an exact sign at every midpoint,
   which the package replays from a float root and a two-sign certificate;
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
-  as a polynomial in n, and the weight sequences s_l in both forms.
+  as a polynomial in n, and the weight sequences s_l in both forms;
+- every Fock sector unitary U_0..U_M built whole, one sector from the last,
+  which the package's column walk cuts to the columns a diagonal needs.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from nssgate.determinants import NodeSet
-from nssgate.gate_solver import BISECT_TOL
+from nssgate.fock_oracle import SECTOR_CAP
+from nssgate.gate_solver import BISECT_TOL, BeamSplitter
 from nssgate.polynomials import binomial
 
 
@@ -239,3 +244,28 @@ def numerator_closed_form(N: int, T: float) -> float:
 def denominator_closed_form(N: int, T: float) -> float:
     """(sum_l |A_{N-1,l}|)^2 = N^4 T^2 (T^2-1)^{N(N-1)} at the optimal T."""
     return N**4 * T * T * (T * T - 1.0) ** (N * (N - 1))
+
+
+def sectors_reference(top: int, bs: BeamSplitter) -> list:
+    """[U_0, ..., U_top]: column k of U_M is (T a+ + r b+) on column k-1 of U_{M-1}
+    over sqrt(k), and column 0 is (-r a+ + T b+) on column 0 over sqrt(M)."""
+    if top < 0:
+        raise ValueError("photon number must be non-negative")
+    if top > SECTOR_CAP:
+        raise ValueError(f"sector M={top} exceeds cap {SECTOR_CAP}")
+    sq = np.sqrt(np.arange(1.0, top + 1))  # sqrt(j+1) for j = 0..top-1
+    tsq, rsq = bs.T * sq, bs.r * sq
+    us = [np.ones((1, 1))]
+    for M in range(1, top + 1):
+        # the column of U_{M-1} each column of U_M starts from, over sqrt(M), sqrt(1), ..., sqrt(M)
+        prev = np.empty((M, M + 1))
+        prev[:, 0] = us[-1][:, 0] / sq[M - 1]
+        prev[:, 1:] = us[-1] / sq[:M]
+        u = np.zeros((M + 1, M + 1))
+        # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j> and b+ |j, M-1-j> = sqrt(M-j) |j, M-j>
+        u[1:, 0] = -rsq[:M] * prev[:, 0]  # column 0: (-r a+ + T b+)
+        u[:-1, 0] += tsq[M - 1 :: -1] * prev[:, 0]
+        u[1:, 1:] = tsq[:M, None] * prev[:, 1:]  # columns 1..M: (T a+ + r b+)
+        u[:-1, 1:] += rsq[M - 1 :: -1, None] * prev[:, 1:]
+        us.append(u)
+    return us

@@ -22,8 +22,16 @@ from nssgate.gate_solver import (
     success_probability,
 )
 from nssgate.optimizer import scan_nodes
+from reference import sectors_reference
 
 SEED = 4242
+# 0, +-1, +-0.99 j/40 for j = 1..40, and six more, among them the paper's N = 2 root
+REFERENCE_TS = (
+    (0.0, 1.0, -1.0)
+    + tuple(s * 0.99 * j / 40 for j in range(1, 41) for s in (1, -1))
+    + (-0.7, -0.2929, 0.05, 0.3, 0.95, 1 - math.sqrt(2))
+)
+GAPPED_14 = (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16)
 
 
 def _solve(N):
@@ -46,6 +54,20 @@ def _expanded_sector(M, bs):
                 acc += math.comb(k, i) * T**i * r ** (k - i) * math.comb(nb, j) * (-r) ** j * T ** (nb - j)
             u[kp, k] = acc * math.sqrt(fact[kp] * fact[M - kp]) / norm_in
     return u
+
+
+@pytest.fixture(scope="module")
+def small_gates():
+    """The best gate of every node set with N = 2..6 in 0..N+3 (456 gates)."""
+    return [scan_nodes(NodeSet(nodes)).best.solution for N in range(2, 7) for nodes in itertools.combinations(range(N + 4), N)]
+
+
+def _lambda_reference(sol):
+    """lambda_k summed over the nodes, in order from int 0, of <k, n|U|k, n> read
+    off the whole sectors of `sectors_reference`."""
+    w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
+    sectors = sectors_reference(sol.N + max(sol.nodes), BeamSplitter(sol.T))
+    return np.array([sum(wl * sectors[k + n][k, k] for wl, n in zip(w, sol.nodes)) for k in range(sol.N + 1)])
 
 
 def _lambda_error(sol, full):
@@ -126,6 +148,17 @@ class TestSectorUnitary:
                 u = bs_sector_unitary(M, bs)
                 assert np.max(np.abs(u.T @ u - np.eye(M + 1))) <= 1e-11, (T, M)
 
+    def test_equals_the_whole_sectors(self):
+        # each column walked from column 0 of a lower sector takes the divisions
+        # and products of the whole-sector recursion in the same order, so it is
+        # equal to that column; at T = 0 and +-1 some exact zeros differ in sign
+        for T in REFERENCE_TS:
+            bs = BeamSplitter(T)
+            want = sectors_reference(SECTOR_CAP, bs)
+            for M in range(SECTOR_CAP + 1):
+                u = bs_sector_unitary(M, bs)
+                assert u.shape == want[M].shape and np.array_equal(u, want[M]), (T, M)
+
     def test_rejects_beyond_cap(self):
         with pytest.raises(ValueError):
             bs_sector_unitary(SECTOR_CAP + 1, BeamSplitter(0.5))
@@ -174,21 +207,32 @@ class TestApplyGate:
             assert np.max(np.abs(lam_diag - lam_full)) <= 1e-12
             assert p_diag == pytest.approx(p_full, abs=1e-12)
 
-    def test_full_projection_on_every_small_node_set(self):
-        # the best gate of every node set with N = 2..6 in 0..N+3 (456 gates);
+    def test_full_projection_on_every_small_node_set(self, small_gates):
         # worst measured 4.1e-12 relative to sqrt p
-        gates = 0
-        for N in range(2, 7):
-            for nodes in itertools.combinations(range(N + 4), N):
-                best = scan_nodes(NodeSet(nodes)).best
-                assert _lambda_error(best.solution, full=True) <= 1e-10, nodes
-                gates += 1
-        assert gates == 456
+        assert len(small_gates) == 456
+        for sol in small_gates:
+            assert _lambda_error(sol, full=True) <= 1e-10, sol.nodes
 
     def test_full_projection_on_gapped_n14(self):
         # photon sectors up to M = 30; measured 1.9e-9 relative to sqrt p
-        best = scan_nodes(NodeSet((1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16))).best
+        best = scan_nodes(NodeSet(GAPPED_14)).best
         assert _lambda_error(best.solution, full=True) <= 2.5e-9
+
+    def test_full_projection_equals_the_whole_sectors(self, small_gates):
+        # the column walk takes each element's divisions and products in the
+        # order of the whole-sector recursion, so lambda is the same float
+        for sol in [*small_gates, scan_nodes(NodeSet(GAPPED_14)).best.solution]:
+            lam, want = gate_amplitudes(sol, full=True), _lambda_reference(sol)
+            assert lam.shape == want.shape and np.array_equal(lam, want), sol.nodes
+
+    def test_full_projection_up_to_the_cap(self):
+        # N + max n is the top sector: 34 for (0, 32), one past the cap for (0, 33);
+        # measured 1.3e-12 relative to sqrt p at the cap
+        sol = scan_nodes(NodeSet((0, 32))).best.solution
+        assert _lambda_error(sol, full=True) <= 1e-10
+        sol = scan_nodes(NodeSet((0, 33))).best.solution
+        with pytest.raises(ValueError, match="M=35"):
+            gate_amplitudes(sol, full=True)
 
     def test_gate_is_diagonal_on_basis_states(self):
         sol = _solve(3)
@@ -230,3 +274,9 @@ def test_target_and_fidelity_helpers():
     assert t.coefficients == (0.6 + 0j, -0.8 + 0j)
     assert fidelity(s, s) == pytest.approx(1.0)
     assert fidelity(s, t) == pytest.approx((0.36 - 0.64) ** 2)
+
+
+def test_fidelity_rejects_a_dimension_mismatch():
+    # zipping the two states would drop the third level and give 1.0
+    with pytest.raises(ValueError):
+        fidelity(SignalState((1, 0)), SignalState((1, 0, 0)))

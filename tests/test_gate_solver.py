@@ -343,6 +343,12 @@ class TestSecularPolynomial:
             bracket = [2 * (k == 0) - math.comb(N, k) * (-1) ** k for k in range(N + 1)]
             assert coeffs == [0] * N + [math.factorial(N) * c for c in bracket]
 
+    def test_shifted_pairs_factor(self):
+        # 2! P of {m, m+1} is -[(m+2)T^2 - m] [(m+1)T^2 - 2T - (m+1)], coefficient by coefficient
+        for m in range(1001):
+            want = [-c for c in _polymul([-m, 0, m + 2], [-(m + 1), -2, m + 1])]
+            assert secular_polynomial(NodeSet((m, m + 1))) == want, m
+
     def test_equals_the_binomial_sum_reference(self):
         # every N = 1..8 set in 0..N+3, and seeded larger sets
         rng = np.random.default_rng(SEED)
