@@ -110,6 +110,15 @@ def _parse_nodes(text: str) -> NodeSet:
     return NodeSet(vals)  # NodeSet rejects duplicates/negatives/disorder
 
 
+def _write(args, command: str, payload: dict, header: str, rows) -> None:
+    """Write the JSON envelope, or with --format csv the header line and one line per (N, *floats) row."""
+    if args.format == "csv":
+        lines = [header] + [",".join([str(N)] + [_fmt(v) for v in vals]) for N, *vals in rows]
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(_json_dump(_envelope(command, payload)), args.out)
+
+
 def cmd_solve(args) -> int:
     if args.nodes is not None:
         nodes = _parse_nodes(args.nodes)
@@ -119,38 +128,27 @@ def cmd_solve(args) -> int:
     else:
         nodes = NodeSet.minimal(args.n)
     report = scan_nodes(nodes)
-    if report.best is None:
-        payload = _envelope("solve", {"scan": report.to_dict(), "solution": None})
-        _emit(_json_dump(payload), args.out)
-        return 2
-    sol = report.best.solution
-    solution = {
-        "N": sol.N,
-        "nodes": list(sol.nodes),
-        "T_re": sol.T,
-        "T_im": 0.0,
-        "p": sol.p,
-        "alphas": [[float(a), 0.0] for a in sol.alphas],
-        "gammas": list(sol.gammas),
-    }
-    if args.format == "csv":
-        lines = ["N,T_re,T_im,p", ",".join([str(sol.N)] + [_fmt(v) for v in (sol.T, 0.0, sol.p)])]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_dump(_envelope("solve", {"scan": report.to_dict(), "solution": solution})), args.out)
-    return 0
+    solution, rows = None, []
+    if report.best is not None:
+        sol = report.best.solution
+        solution = {
+            "N": sol.N,
+            "nodes": list(sol.nodes),
+            "T_re": sol.T,
+            "T_im": 0.0,
+            "p": sol.p,
+            "alphas": [[float(a), 0.0] for a in sol.alphas],
+            "gammas": list(sol.gammas),
+        }
+        rows = [(sol.N, sol.T, 0.0, sol.p)]
+    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, "N,T_re,T_im,p", rows)
+    return 2 if solution is None else 0
 
 
 def cmd_sweep(args) -> int:
     rows = sweep(args.n_min, args.n_max)
-    if args.format == "csv":
-        lines = ["N,T,p"]
-        for r in rows:
-            lines.append(",".join([str(r.N), _fmt(r.T), _fmt(r.p)]))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}
-        _emit(_json_dump(_envelope("sweep", payload)), args.out)
+    payload = {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}
+    _write(args, "sweep", payload, "N,T,p", ((r.N, r.T, r.p) for r in rows))
     return 0
 
 
@@ -200,109 +198,108 @@ def _rand_x(rng) -> Fraction:
             return Fraction(v, 1000)
 
 
-def _suite_a(rng) -> list:
-    """Three-term recursion, including the boundary parameters x = 0, +-1."""
-    worst = 0.0
+def _identity(name: str, residuals: list, tol: float = IDENTITY_TOL) -> dict:
+    """Report of one identity: it passes only if every residual is <= tol, so a NaN fails."""
+    worst = math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+    ok = all(r <= tol for r in residuals)
+    return {"identity": name, "instances": len(residuals), "max_residual": float(worst), "pass": ok}
+
+
+def _recursion(rng) -> list:
     xs = [Fraction(0), Fraction(1), Fraction(-1)] + [_rand_x(rng) for _ in range(100)]
+    residuals = []
     for x in xs:
         n = int(rng.integers(0, 31))
         s = [spoly_eval(k, x, n) for k in range(21)]
         xf = float(x)
         for k in range(2, 21):
             got = spoly_recursion_step(k, xf, n, s[k - 1], s[k - 2])
-            worst = max(worst, abs(got - s[k]) / max(abs(s[k]), 1e-30))
-    count = 19 * len(xs)  # k = 2..20 at each point
-    return [{"identity": "three_term_recursion", "instances": count, "max_residual": worst, "pass": worst <= IDENTITY_TOL}]
+            residuals.append(abs(got - s[k]) / max(abs(s[k]), 1e-30))
+    return residuals
+
+
+def _binomial(rng) -> float:
+    N = int(rng.integers(1, 9))
+    p = int(rng.integers(0, N + 1))
+    l = int(rng.integers(0, 2 * N + 1))
+    x = float(_rand_x(rng))
+    lhs = (x * x - 1.0) ** N * math.comb(l, p)
+    rhs = sum((-1) ** (N - j) * symmetric_s(x, p, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
+    return abs(lhs - rhs)
+
+
+def _p_equals_N(rng) -> float:
+    N = int(rng.integers(1, 9))
+    j = int(rng.integers(0, N + 1))
+    x = float(_rand_x(rng))
+    return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
+
+
+def _one_gap_binomial(rng) -> float:
+    N = int(rng.integers(1, 9))
+    q = int(rng.integers(0, N + 1))
+    l = int(rng.integers(0, 2 * N + 3))
+    x = float(_rand_x(rng))
+    lhs = (x * x - 1.0) ** N * gapped_binomial_expand(N + 1, q, l)
+    rhs = sum((-1) ** (N - j) * oneq_coefficient(x, q, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
+    return abs(lhs - rhs)
+
+
+def _gap_product(rng) -> float:
+    p = int(rng.integers(1, 9))
+    q = int(rng.integers(0, p))
+    l = int(rng.integers(-3, 2 * p + 3))
+    prod = math.prod((l - k for k in range(p) if k != q), start=1.0)
+    return abs(gapped_binomial_expand(p, q, l) - prod / math.factorial(p))
+
+
+def _vandermonde_power() -> list:
+    """Exact residuals at each set {0..N-1} less one gap, N = 2..10."""
+    sets = [(N, gap, NodeSet(tuple(v for v in range(N) if v != gap))) for N in range(2, 11) for gap in range(N)]
+    return [abs(vandermonde_power(nodes) - gapped_vandermonde(N, gap)) for N, gap, nodes in sets]
+
+
+def _gapped_S(rng) -> float:
+    N = int(rng.integers(2, 11))
+    gap = int(rng.integers(0, N))
+    x = _rand_x(rng)
+    det = float(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), x))
+    want = gapped_vandermonde_S(N, gap, float(x))
+    return abs(det - want) / max(abs(want), 1e-300)
+
+
+def _product_rule(rng) -> float:
+    N = int(rng.integers(1, 11))
+    vals = sorted(rng.choice(np.arange(0, 2 * N + 2), size=N, replace=False).tolist())
+    nodes = NodeSet(tuple(int(v) for v in vals))
+    x = _rand_x(rng)
+    det = float(spoly_det(nodes, x))
+    want = vandermonde_S(nodes, float(x))
+    return abs(det - want) / max(abs(want), 1e-300)
+
+
+def _suite_a(rng) -> list:
+    """Three-term recursion, including the boundary parameters x = 0, +-1."""
+    return [_identity("three_term_recursion", _recursion(rng))]
 
 
 def _suite_b(rng) -> list:
-    """Binomial expansions over the S-basis (gap-free and one-gap forms)."""
-    results = []
-
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(1, 9))
-        p = int(rng.integers(0, N + 1))
-        l = int(rng.integers(0, 2 * N + 1))
-        x = float(_rand_x(rng))
-        lhs = (x * x - 1.0) ** N * math.comb(l, p)
-        rhs = sum((-1) ** (N - j) * symmetric_s(x, p, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
-        worst = max(worst, abs(lhs - rhs))
-    results.append({"identity": "binomial_over_S_basis", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(1, 9))
-        j = int(rng.integers(0, N + 1))
-        x = float(_rand_x(rng))
-        got = symmetric_s(x, N, j, N)
-        want = math.comb(N, j) * x ** (2 * (N - j))
-        worst = max(worst, abs(got - want))
-    results.append({"identity": "p_equals_N_specialization", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(1, 9))
-        q = int(rng.integers(0, N + 1))
-        l = int(rng.integers(0, 2 * N + 3))
-        x = float(_rand_x(rng))
-        lhs = (x * x - 1.0) ** N * gapped_binomial_expand(N + 1, q, l)
-        rhs = sum((-1) ** (N - j) * oneq_coefficient(x, q, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
-        worst = max(worst, abs(lhs - rhs))
-    results.append({"identity": "one_gap_binomial_over_S_basis", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-
-    worst = 0.0
-    for _ in range(100):
-        p = int(rng.integers(1, 9))
-        q = int(rng.integers(0, p))
-        l = int(rng.integers(-3, 2 * p + 3))
-        got = gapped_binomial_expand(p, q, l)
-        prod = 1.0
-        for k in range(p):
-            if k != q:
-                prod *= l - k
-        worst = max(worst, abs(got - prod / math.factorial(p)))
-    results.append({"identity": "gap_expansion_product_form", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-    return results
+    """Binomial expansions over the S-basis (gap-free and one-gap forms), 100 random instances each."""
+    return [
+        _identity("binomial_over_S_basis", [_binomial(rng) for _ in range(100)]),
+        _identity("p_equals_N_specialization", [_p_equals_N(rng) for _ in range(100)]),
+        _identity("one_gap_binomial_over_S_basis", [_one_gap_binomial(rng) for _ in range(100)]),
+        _identity("gap_expansion_product_form", [_gap_product(rng) for _ in range(100)]),
+    ]
 
 
 def _suite_c(rng) -> list:
-    """Gapped Vandermondians (exact) and the S-basis product rule."""
-    results = []
-
-    worst = 0
-    count = 0
-    for N in range(2, 11):
-        for gap in range(N):
-            nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-            got = vandermonde_power(nodes)
-            want = gapped_vandermonde(N, gap)
-            worst = max(worst, abs(got - want))
-            count += 1
-    results.append({"identity": "gapped_vandermonde_power_exact", "instances": count, "max_residual": float(worst), "pass": worst == 0})
-
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(2, 11))
-        gap = int(rng.integers(0, N))
-        x = _rand_x(rng)
-        nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-        det = float(spoly_det(nodes, x))
-        want = gapped_vandermonde_S(N, gap, float(x))
-        worst = max(worst, abs(det - want) / max(abs(want), 1e-300))
-    results.append({"identity": "gapped_vandermonde_S_basis", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(1, 11))
-        vals = sorted(rng.choice(np.arange(0, 2 * N + 2), size=N, replace=False).tolist())
-        nodes = NodeSet(tuple(int(v) for v in vals))
-        x = _rand_x(rng)
-        det = float(spoly_det(nodes, x))
-        want = vandermonde_S(nodes, float(x))
-        worst = max(worst, abs(det - want) / max(abs(want), 1e-300))
-    results.append({"identity": "S_basis_product_rule", "instances": 100, "max_residual": worst, "pass": worst <= IDENTITY_TOL})
-    return results
+    """Gapped Vandermondians (exact) and the S-basis product rule, 100 random instances each."""
+    return [
+        _identity("gapped_vandermonde_power_exact", _vandermonde_power(), tol=0),
+        _identity("gapped_vandermonde_S_basis", [_gapped_S(rng) for _ in range(100)]),
+        _identity("S_basis_product_rule", [_product_rule(rng) for _ in range(100)]),
+    ]
 
 
 def cmd_identities(args) -> int:

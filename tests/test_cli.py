@@ -120,6 +120,15 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["solution"] is None
 
+    def test_no_root_csv_is_the_header_alone(self, capsys, monkeypatch):
+        def empty_scan(nodes):
+            return ScanReport(nodes=nodes, entries=(), skipped=(), best=None)
+
+        monkeypatch.setattr("nssgate.cli.scan_nodes", empty_scan)
+        code, out, _ = run(capsys, "solve", "--n", "2", "--format", "csv")
+        assert code == 2
+        assert out == "N,T_re,T_im,p\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sol.json"
         code, out, _ = run(capsys, "solve", "--n", "2", "--out", str(target))
@@ -335,6 +344,18 @@ class TestIdentities:
         by_name = {r["identity"]: r for r in doc["suites"]["c"]}
         assert by_name["gapped_vandermonde_power_exact"]["max_residual"] == 0.0
 
+    @pytest.mark.parametrize(
+        "suite, name", [("a", "spoly_recursion_step"), ("c", "gapped_vandermonde_S")], ids=["a", "c"]
+    )
+    def test_nan_residual_fails(self, capsys, monkeypatch, suite, name):
+        # a NaN compares false with every bound, so a running max() would drop it
+        monkeypatch.setattr(f"nssgate.cli.{name}", lambda *args: float("nan"))
+        code, out, _ = run(capsys, "identities", "--suite", suite)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert any(math.isnan(r["max_residual"]) and r["pass"] is False for r in doc["suites"][suite])
+
     def test_reports_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(a))[0] == 0
@@ -342,14 +363,16 @@ class TestIdentities:
         assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the stdout of four reports: the roots, the weights and p, as
+# SHA-256 of the stdout of six reports: the roots, the weights and p, as
 # printed, must not change by a bit when the solver's arithmetic does (a
-# version or schema change alters them too)
+# version or schema change alters the JSON ones too)
 PINNED_OUTPUTS = {
     "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "a3d589082217706fab0efb6a52341bcfaf238feaf17f27adef14f9ce742814aa"),
     "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
     "solve_2..61": (("solve", "--n", "60", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
     "solve_wide_40": (("solve", "--n", "40", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
+    "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "aef1a1a1c6ab3e86c1521248bd71350b6239b575383d3f5d8fd12ac2d0e3c299"),
+    "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
 }
 
 

@@ -349,6 +349,14 @@ class TestSecularPolynomial:
             want = [-c for c in _polymul([-m, 0, m + 2], [-(m + 1), -2, m + 1])]
             assert secular_polynomial(NodeSet((m, m + 1))) == want, m
 
+    def test_shifted_pairs_best_gate(self):
+        # the best gate of {m, m+1} is T = -sqrt(m/(m+2)) with p = [|T|^m (1+|T|)/2]^2
+        for m in range(1, 41):
+            best = scan_nodes(NodeSet((m, m + 1))).best
+            t = math.sqrt(m / (m + 2))
+            assert best.T == pytest.approx(-t, rel=1e-13, abs=0), m
+            assert best.p == pytest.approx((t**m * (1 + t) / 2) ** 2, rel=1e-13, abs=0), m
+
     def test_equals_the_binomial_sum_reference(self):
         # every N = 1..8 set in 0..N+3, and seeded larger sets
         rng = np.random.default_rng(SEED)
