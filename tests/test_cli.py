@@ -13,7 +13,7 @@ import pytest
 import nssgate
 from nssgate.cli import main
 from nssgate.determinants import NodeSet
-from nssgate.fock_oracle import SignalState, apply_gate, fidelity, target_state
+from nssgate.fock_oracle import SignalState, apply_gate, fidelity, post_select, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import ScanReport
 from test_gate_solver import WIDE_40
@@ -292,6 +292,16 @@ class TestSweep:
         assert all(_meets_closed_forms(r["N"], r["T_re"], r["p"]) for r in rows)
 
 
+def _post_select_times(factor):
+    """post_select with its probability scaled by factor."""
+
+    def scaled(*args):
+        out, prob = post_select(*args)
+        return out, prob * factor
+
+    return scaled
+
+
 class TestVerify:
     def test_n2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--trials", "100", "--seed", "7")
@@ -326,6 +336,37 @@ class TestVerify:
         assert doc["pass"] is True and doc["trials"] == 100
         assert _meets_closed_forms(40, doc["T_re"], 1 / 40**2)
         assert doc["max_fidelity_error"] <= 1e-12 and doc["max_prob_error"] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name, fake, field",
+        [
+            ("fidelity", lambda *args: math.nan, "max_fidelity_error"),
+            ("post_select", _post_select_times(math.nan), "max_prob_error"),
+        ],
+        ids=["fidelity", "probability"],
+    )
+    def test_nan_error_fails(self, capsys, monkeypatch, name, fake, field):
+        # a NaN compares false with every bound, so a running max() would drop it
+        monkeypatch.setattr(f"nssgate.cli.{name}", fake)
+        code, out, _ = run(capsys, "verify", "--n", "3", "--trials", "3")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["pass"] is False and math.isnan(doc[field])
+
+    @pytest.mark.parametrize(
+        "name, fake",
+        [("post_select", _post_select_times(1 + 1e-6)), ("fidelity", lambda *args: fidelity(*args) - 5e-9)],
+        ids=["p_relative", "fidelity"],
+    )
+    def test_planted_error_fails(self, capsys, monkeypatch, name, fake):
+        # both errors are bounded by identity_tol = 1e-9; p's relative to
+        # 1/N^2, so at N = 14 a 1e-6 relative error fails though it is only
+        # 5.1e-9 absolute
+        monkeypatch.setattr(f"nssgate.cli.{name}", fake)
+        code, out, _ = run(capsys, "verify", "--n", "14", "--trials", "3")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["pass"] is False and doc["tolerances"]["identity_tol"] == 1e-9
 
 
 class TestIdentities:
@@ -363,7 +404,7 @@ class TestIdentities:
         assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the stdout of six reports: the roots, the weights and p, as
+# SHA-256 of the stdout of seven reports: the roots, the weights and p, as
 # printed, must not change by a bit when the solver's arithmetic does (a
 # version or schema change alters the JSON ones too)
 PINNED_OUTPUTS = {
@@ -371,6 +412,8 @@ PINNED_OUTPUTS = {
     "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
     "solve_2..61": (("solve", "--n", "60", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
     "solve_wide_40": (("solve", "--n", "40", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
+    # three roots, on both sides of T = 0 and two of them 0.002 apart
+    "solve_2_5,6": (("solve", "--n", "2", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "aef1a1a1c6ab3e86c1521248bd71350b6239b575383d3f5d8fd12ac2d0e3c299"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
 }
