@@ -123,8 +123,7 @@ def cmd_solve(args) -> int:
     if args.nodes is not None:
         nodes = _parse_nodes(args.nodes)
         if len(nodes) != args.n:
-            print(f"error: --nodes has {len(nodes)} entries, --n is {args.n}", file=sys.stderr)
-            return 1
+            raise ValueError(f"--nodes has {len(nodes)} entries, --n is {args.n}")
     else:
         nodes = NodeSet.minimal(args.n)
     report = scan_nodes(nodes)
@@ -161,11 +160,9 @@ def _verdict(errors: list, tol: float = IDENTITY_TOL) -> tuple:
 def cmd_verify(args) -> int:
     N = args.n
     if N < 1:
-        print("error: need N >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("need N >= 1")
     if args.trials < 1:
-        print("error: need --trials >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("need --trials >= 1")
     report = scan_nodes(NodeSet.minimal(N))
     if report.best is None:
         print("error: no gate found", file=sys.stderr)
@@ -233,10 +230,10 @@ def _binomial(rng) -> float:
     return abs(lhs - rhs)
 
 
-def _p_equals_N(rng) -> float:
+def _p_equals_N(rng) -> Fraction:
     N = int(rng.integers(1, 9))
     j = int(rng.integers(0, N + 1))
-    x = float(_rand_x(rng))
+    x = _rand_x(rng)
     return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
 
 
@@ -250,12 +247,12 @@ def _one_gap_binomial(rng) -> float:
     return abs(lhs - rhs)
 
 
-def _gap_product(rng) -> float:
+def _gap_product(rng) -> Fraction:
     p = int(rng.integers(1, 9))
     q = int(rng.integers(0, p))
     l = int(rng.integers(-3, 2 * p + 3))
-    prod = math.prod((l - k for k in range(p) if k != q), start=1.0)
-    return abs(gapped_binomial_expand(p, q, l) - prod / math.factorial(p))
+    prod = math.prod(l - k for k in range(p) if k != q)
+    return abs(gapped_binomial_expand(p, q, l) - Fraction(prod, math.factorial(p)))
 
 
 def _vandermonde_power() -> list:
@@ -264,23 +261,19 @@ def _vandermonde_power() -> list:
     return [abs(vandermonde_power(nodes) - gapped_vandermonde(N, gap)) for N, gap, nodes in sets]
 
 
-def _gapped_S(rng) -> float:
+def _gapped_S(rng) -> Fraction:
     N = int(rng.integers(2, 11))
     gap = int(rng.integers(0, N))
     x = _rand_x(rng)
-    det = float(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), x))
-    want = gapped_vandermonde_S(N, gap, float(x))
-    return abs(det - want) / max(abs(want), 1e-300)
+    return abs(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), x) - gapped_vandermonde_S(N, gap, x))
 
 
-def _product_rule(rng) -> float:
+def _product_rule(rng) -> Fraction:
     N = int(rng.integers(1, 11))
     vals = sorted(rng.choice(np.arange(0, 2 * N + 2), size=N, replace=False).tolist())
     nodes = NodeSet(tuple(int(v) for v in vals))
     x = _rand_x(rng)
-    det = float(spoly_det(nodes, x))
-    want = vandermonde_S(nodes, float(x))
-    return abs(det - want) / max(abs(want), 1e-300)
+    return abs(spoly_det(nodes, x) - vandermonde_S(nodes, x))
 
 
 def _suite_a(rng) -> list:
@@ -292,18 +285,18 @@ def _suite_b(rng) -> list:
     """Binomial expansions over the S-basis (gap-free and one-gap forms), 100 random instances each."""
     return [
         _identity("binomial_over_S_basis", [_binomial(rng) for _ in range(100)]),
-        _identity("p_equals_N_specialization", [_p_equals_N(rng) for _ in range(100)]),
+        _identity("p_equals_N_specialization", [_p_equals_N(rng) for _ in range(100)], tol=0),
         _identity("one_gap_binomial_over_S_basis", [_one_gap_binomial(rng) for _ in range(100)]),
-        _identity("gap_expansion_product_form", [_gap_product(rng) for _ in range(100)]),
+        _identity("gap_expansion_product_form", [_gap_product(rng) for _ in range(100)], tol=0),
     ]
 
 
 def _suite_c(rng) -> list:
-    """Gapped Vandermondians (exact) and the S-basis product rule, 100 random instances each."""
+    """Gapped Vandermondians and the S-basis product rule, 100 random instances each, all exact."""
     return [
         _identity("gapped_vandermonde_power_exact", _vandermonde_power(), tol=0),
-        _identity("gapped_vandermonde_S_basis", [_gapped_S(rng) for _ in range(100)]),
-        _identity("S_basis_product_rule", [_product_rule(rng) for _ in range(100)]),
+        _identity("gapped_vandermonde_S_basis", [_gapped_S(rng) for _ in range(100)], tol=0),
+        _identity("S_basis_product_rule", [_product_rule(rng) for _ in range(100)], tol=0),
     ]
 
 

@@ -138,14 +138,14 @@ def vandermonde_power(nodes: NodeSet) -> int:
     return out
 
 
-def vandermonde_S(nodes: NodeSet, x: float) -> float:
-    """det[S_{k-1}^{(x)}(n_l)] via the product rule V_N * prod_k (x^2-1)^k / k!."""
+def vandermonde_S(nodes: NodeSet, x):
+    """det[S_{k-1}^{(x)}(n_l)] by the product rule V_N * prod_k (x^2-1)^k / k!,
+    in the type of x: a `Fraction` x gives the exact value, a float x a float.
+    V_N / prod_k k! is one `Fraction`, rounded once for a float x, so V_N and
+    prod_k k! may each exceed the float range."""
     N = len(nodes)
-    u = x * x - 1.0
-    pref = 1.0
-    for k in range(N):
-        pref *= u**k / math.factorial(k)
-    return vandermonde_power(nodes) * pref
+    ratio = Fraction(vandermonde_power(nodes), math.prod(map(math.factorial, range(N))))
+    return (x * x - 1) ** (N * (N - 1) // 2) * ratio
 
 
 def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
@@ -174,8 +174,9 @@ def gapped_vandermonde(N: int, gap: int) -> int:
     return math.prod(math.factorial(k) for k in range(N - 1)) * math.comb(N - 1, gap)
 
 
-def gapped_vandermonde_S(N: int, gap: int, x: float) -> float:
-    """S-basis Vandermondian of the same nodes: (x^2-1)^{(N-1)(N-2)/2} C(N-1, gap)."""
+def gapped_vandermonde_S(N: int, gap: int, x):
+    """S-basis Vandermondian of the same nodes, (x^2-1)^{(N-1)(N-2)/2} C(N-1, gap),
+    in the type of x."""
     if not 0 <= gap <= N - 1:
         raise ValueError("gap must lie in [0, N-1]")
-    return (x * x - 1.0) ** ((N - 1) * (N - 2) // 2) * math.comb(N - 1, gap)
+    return (x * x - 1) ** ((N - 1) * (N - 2) // 2) * math.comb(N - 1, gap)

@@ -104,38 +104,36 @@ def spoly_recursion_step(k: int, x: float, n: int, s_km1: float, s_km2: float) -
     return (((x2 - 1.0) * (n + k) + 2 * k - 1) * s_km1 - (k - 1) * x2 * s_km2) / k
 
 
-def symmetric_s(x: float, p: int, j: int, N: int) -> float:
-    """Expansion coefficient s_{N-j}(x; p; N) = C(p,j) x^{2(p-j)} (1-x^2)^{N-p}.
+def symmetric_s(x, p: int, j: int, N: int):
+    """Expansion coefficient s_{N-j}(x; p; N) = C(p,j) x^{2(p-j)} (1-x^2)^{N-p},
+    in the type of x (exact for a `Fraction` x).
 
     These solve (x^2-1)^N C(l,p) = sum_j (-1)^{N-j} s_{N-j} S_j^{(x)}(l).
     For p = N they reduce to C(N,j) x^{2(N-j)}.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if p > N:
-        raise ValueError("need p <= N")
+    if not 0 <= p <= N:
+        raise ValueError("need 0 <= p <= N")
     if not 0 <= j <= N:
         raise ValueError("need 0 <= j <= N")
-    b = binomial(p, j)
-    if b == 0:
-        return 0.0
-    return float(b) * x ** (2 * (p - j)) * (1.0 - x * x) ** (N - p)
+    if j > p:  # C(p, j) = 0, and x^{2(p-j)} would be a negative power
+        return x - x  # the zero of x's type, +0.0 for a float
+    return math.comb(p, j) * x ** (2 * (p - j)) * (1 - x * x) ** (N - p)
 
 
-def gapped_binomial_expand(p: int, q: int, l: int) -> float:
+def gapped_binomial_expand(p: int, q: int, l: int) -> Fraction:
     """The gap-q expansion of C(l,p)/(l-q), valid also at the removable point l = q.
 
-    Returns (1/(p C(p-1,q))) sum_{r=0}^{p-1} (-1)^{p-1-r} C(r,q) C(l,r),
+    Returns (1/(p C(p-1,q))) sum_{r=0}^{p-1} (-1)^{p-1-r} C(r,q) C(l,r), exactly,
     which equals (1/p!) prod_{k != q, k < p} (l-k) for every l.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if not 0 <= q < p:
         raise ValueError("need 0 <= q < p")
-    total = 0.0
-    for r in range(q, p):
-        total += (-1) ** (p - 1 - r) * math.comb(r, q) * float(binomial(l, r))
-    return total / (p * math.comb(p - 1, q))
+    total = sum((-1) ** (p - 1 - r) * math.comb(r, q) * binomial(l, r) for r in range(q, p))
+    return Fraction(total, p * math.comb(p - 1, q))
 
 
 def oneq_coefficient(x: float, q: int, j: int, N: int) -> float:

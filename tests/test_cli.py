@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,7 @@ class TestSolve:
         assert code == 1
 
     def test_node_count_mismatch_exit_1(self, capsys):
-        code, _, err = run(capsys, "solve", "--n", "2", "--nodes", "0,1,2")
-        assert code == 1
+        assert run(capsys, "solve", "--n", "2", "--nodes", "0,1,2") == (1, "", "error: --nodes has 3 entries, --n is 2\n")
 
     def test_no_root_exit_2(self, capsys, monkeypatch):
         def empty_scan(nodes):
@@ -317,17 +317,19 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize(
-        "flag, value, word",
-        [("--trials", "0", "trials"), ("--trials", "-1", "trials"), ("--n", "0", "N >= 1"), ("--n", "-2", "N >= 1")],
+        "flag, value, message",
+        [
+            ("--trials", "0", "need --trials >= 1"),
+            ("--trials", "-1", "need --trials >= 1"),
+            ("--n", "0", "need N >= 1"),
+            ("--n", "-2", "need N >= 1"),
+        ],
         ids=["0", "-1", "n0", "n-2"],
     )
-    def test_no_trials_exit_1(self, capsys, flag, value, word):
+    def test_no_trials_exit_1(self, capsys, flag, value, message):
         # --trials and --n must each be at least 1
         args = {"--n": "3", "--trials": "5", flag: value}
-        code, out, err = run(capsys, "verify", *(x for kv in args.items() for x in kv))
-        assert code == 1
-        assert out == ""
-        assert word in err and err.count("\n") == 1
+        assert run(capsys, "verify", *(x for kv in args.items() for x in kv)) == (1, "", f"error: {message}\n")
 
     def test_n40_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "40")
@@ -382,8 +384,19 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--suite", "c")
         assert code == 0
         doc = json.loads(out)
-        by_name = {r["identity"]: r for r in doc["suites"]["c"]}
-        assert by_name["gapped_vandermonde_power_exact"]["max_residual"] == 0.0
+        assert [r["max_residual"] for r in doc["suites"]["c"]] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["gapped_vandermonde_S", "vandermonde_S"])
+    def test_planted_error_fails(self, capsys, monkeypatch, name):
+        # suite c compares exact values, so a closed form off by 1e-12 relative
+        # fails; a relative bound of identity_tol would let it pass
+        closed_form = getattr(nssgate.cli, name)
+        monkeypatch.setattr(nssgate.cli, name, lambda *args: closed_form(*args) * (1 + Fraction(1, 10**12)))
+        code, out, _ = run(capsys, "identities", "--suite", "c")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert sum(r["pass"] is False and r["max_residual"] > 0 for r in doc["suites"]["c"]) == 1
 
     @pytest.mark.parametrize(
         "suite, name", [("a", "spoly_recursion_step"), ("c", "gapped_vandermonde_S")], ids=["a", "c"]
@@ -404,9 +417,10 @@ class TestIdentities:
         assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the stdout of seven reports: the roots, the weights and p, as
-# printed, must not change by a bit when the solver's arithmetic does (a
-# version or schema change alters the JSON ones too)
+# SHA-256 of the stdout of eight reports: the roots, the weights and p, as
+# printed, must not change by a bit when the solver's arithmetic does, nor
+# the identity residuals when the closed forms' arithmetic does (a version or
+# schema change alters the JSON ones too)
 PINNED_OUTPUTS = {
     "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "a3d589082217706fab0efb6a52341bcfaf238feaf17f27adef14f9ce742814aa"),
     "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
@@ -416,6 +430,7 @@ PINNED_OUTPUTS = {
     "solve_2_5,6": (("solve", "--n", "2", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "aef1a1a1c6ab3e86c1521248bd71350b6239b575383d3f5d8fd12ac2d0e3c299"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
+    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "db568b032109ef662597c5b9163c7d7a50ed5aab720c5963a8cafb406a65390b"),
 }
 
 

@@ -159,7 +159,8 @@ def test_vandermonde_power_minimal_is_factorial_product():
 
 
 def test_vandermonde_S_minimal_nodes():
-    for N in range(1, 8):
+    # at N = 40 and 60, V_N and prod k! each overflow a float; their ratio 1 does not
+    for N in (*range(1, 8), 40, 60):
         x = 0.37
         want = (x * x - 1.0) ** (N * (N - 1) // 2)
         assert vandermonde_S(NodeSet.minimal(N), x) == pytest.approx(want, rel=1e-12)
@@ -178,15 +179,19 @@ def test_vandermonde_S_explicit_determinant():
 
 def test_vandermonde_S_product_rule_random():
     # 50 random x values, N <= 10; determinant in exact arithmetic because the
-    # product value is exponentially smaller than the matrix entries
+    # product value is exponentially smaller than the matrix entries.  The
+    # closed form follows the type of x: exact at a Fraction, and at a float
+    # within 1e-12 of the exact determinant at that float
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         N = int(rng.integers(1, 11))
         vals = sorted(rng.choice(np.arange(0, 2 * N + 3), size=N, replace=False).tolist())
         nodes = NodeSet(tuple(int(v) for v in vals))
         x = Fraction(int(rng.integers(-949, 950)), 1000)
-        det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
-        assert det == pytest.approx(vandermonde_S(nodes, float(x)), rel=1e-9)
+        assert vandermonde_S(nodes, x) == exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
+        xf = float(x)
+        assert type(vandermonde_S(nodes, xf)) is float
+        assert vandermonde_S(nodes, xf) == pytest.approx(float(spoly_det(nodes, xf)), rel=1e-12), (nodes, x)
 
 
 def _product_rule_exact(nodes, x) -> Fraction:
@@ -208,7 +213,7 @@ def test_spoly_det_equals_the_matrix_determinant_and_the_product_rule():
             det = spoly_det(nodes, x)
             assert type(det) is Fraction, (nodes, x)
             assert det == exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
-            assert det == _product_rule_exact(nodes, x), (nodes, x)
+            assert det == _product_rule_exact(nodes, x) == vandermonde_S(nodes, Fraction(x)), (nodes, x)
 
 
 def test_gapped_examples():
@@ -238,8 +243,9 @@ def test_gapped_s_basis_random_x():
         for gap in range(N):
             x = Fraction(int(rng.integers(-949, 950)), 1000)
             nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-            det = float(exact_det(spoly_matrix(nodes, x, exact=True)))
-            assert det == pytest.approx(gapped_vandermonde_S(N, gap, float(x)), rel=1e-10)
+            det = exact_det(spoly_matrix(nodes, x, exact=True))
+            assert gapped_vandermonde_S(N, gap, x) == spoly_det(nodes, x) == det, (N, gap, x)
+            assert float(det) == pytest.approx(gapped_vandermonde_S(N, gap, float(x)), rel=1e-10)
 
 
 def test_column_splitting_lemma():

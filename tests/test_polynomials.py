@@ -222,8 +222,31 @@ def test_symmetric_s_examples():
     # j = p: (1-x^2)^{N-p}
     assert symmetric_s(0.5, 2, 2, 3) == pytest.approx(0.75)
     assert symmetric_s(0.5, 2, 1, 3) == pytest.approx(0.375)
-    with pytest.raises(ValueError):
-        symmetric_s(0.5, 4, 0, 3)
+
+
+@pytest.mark.parametrize("p", [-1, -3, 4])
+def test_symmetric_s_rejects_p_out_of_range(p):
+    with pytest.raises(ValueError, match=r"need 0 <= p <= N"):
+        symmetric_s(0.5, p, 0, 3)
+
+
+def test_symmetric_s_follows_the_type_of_x():
+    # a float x gives the bits of the float formula, C(p,j) rounded to a
+    # float first and 0.0 (never -0.0) where C(p,j) = 0; a Fraction x the
+    # exact coefficient
+    def float_formula(x, p, j, N):
+        b = math.comb(p, j)
+        return 0.0 if b == 0 else float(b) * x ** (2 * (p - j)) * (1.0 - x * x) ** (N - p)
+
+    for v in (-949, -500, -1, 0, 3, 370, 600, 949):
+        x = Fraction(v, 1000)
+        for N in range(1, 9):
+            for p in range(N + 1):
+                for j in range(N + 1):
+                    got = symmetric_s(float(x), p, j, N)
+                    assert got.hex() == float_formula(float(x), p, j, N).hex(), (x, p, j, N)
+                    want = math.comb(p, j) * x ** (2 * (p - j)) * (1 - x * x) ** (N - p) if j <= p else 0
+                    assert symmetric_s(x, p, j, N) == want and type(symmetric_s(x, p, j, N)) is Fraction
 
 
 def test_binomial_expansion_over_s_basis():
@@ -252,9 +275,9 @@ def test_one_gap_expansion_over_s_basis():
 
 
 def test_gapped_binomial_examples():
-    assert gapped_binomial_expand(1, 0, 5) == pytest.approx(1.0)
-    assert gapped_binomial_expand(2, 0, 3) == pytest.approx(1.0)
-    assert gapped_binomial_expand(3, 1, 1) == pytest.approx(-1.0 / 6.0)
+    assert gapped_binomial_expand(1, 0, 5) == 1
+    assert gapped_binomial_expand(2, 0, 3) == 1
+    assert gapped_binomial_expand(3, 1, 1) == Fraction(-1, 6)
     with pytest.raises(ValueError):
         gapped_binomial_expand(3, 3, 1)
     with pytest.raises(ValueError):
@@ -265,8 +288,8 @@ def test_gapped_binomial_matches_product_form():
     for p in range(1, 9):
         for q in range(p):
             for l in range(-3, 2 * p + 3):
-                prod = math.prod(l - k for k in range(p) if k != q) / math.factorial(p)
-                assert gapped_binomial_expand(p, q, l) == pytest.approx(prod, abs=1e-10)
+                prod = Fraction(math.prod(l - k for k in range(p) if k != q), math.factorial(p))
+                assert gapped_binomial_expand(p, q, l) == prod
 
 
 def test_weight_sequence_generating_function():
