@@ -140,12 +140,13 @@ def vandermonde_power(nodes: NodeSet) -> int:
 
 def vandermonde_S(nodes: NodeSet, x):
     """det[S_{k-1}^{(x)}(n_l)] by the product rule V_N * prod_k (x^2-1)^k / k!,
-    in the type of x: a `Fraction` x gives the exact value, a float x a float.
-    V_N / prod_k k! is one `Fraction`, rounded once for a float x, so V_N and
-    prod_k k! may each exceed the float range."""
+    exact in `Fraction`s, then for a float x rounded once to a float, so V_N,
+    prod_k k! and the power may each leave the float range where the value
+    does not."""
     N = len(nodes)
     ratio = Fraction(vandermonde_power(nodes), math.prod(map(math.factorial, range(N))))
-    return (x * x - 1) ** (N * (N - 1) // 2) * ratio
+    value = (Fraction(x) ** 2 - 1) ** (N * (N - 1) // 2) * ratio
+    return float(value) if isinstance(x, float) else value
 
 
 def spoly_matrix(nodes: NodeSet, x, exact: bool = False):

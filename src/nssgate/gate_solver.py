@@ -69,7 +69,10 @@ class BeamSplitter:
     def __post_init__(self):
         if isinstance(self.T, (str, bytes)):
             raise TypeError(f"the beam splitter takes a number, got {self.T!r}")
-        t = complex(self.T)
+        try:
+            t = complex(self.T)
+        except OverflowError:  # past the float range, so |T| > 1 too
+            t = complex(math.inf)
         if t.imag != 0.0:
             raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
         if not abs(t) <= 1.0:  # NaN fails this too

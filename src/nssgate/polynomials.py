@@ -1,4 +1,4 @@
-"""The S-polynomial family, its recursion and the expansions over the S basis.
+"""The S-polynomial family and the expansions over the S basis.
 
 The S-polynomials S_k^{(x)}(n) are degree-k polynomials in the photon number n
 that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
@@ -12,8 +12,8 @@ recurrence and the sum from homogeneous Horner in a^2 and b^2-a^2, with no
 `Fraction`, `math.comb` or power per term.  `spoly_eval_exact` wraps it in one
 `Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
 beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n), one
-more quotient.  The recursion and the expansion coefficients serve the
-`identities` suites.
+more quotient.  The expansion coefficients serve the `identities` suites,
+whose suite a checks the three-term recursion on `spoly_scaled`'s integers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "spoly_scaled",
     "spoly_eval",
     "spoly_eval_exact",
-    "spoly_recursion_step",
     "symmetric_s",
     "gapped_binomial_expand",
     "oneq_coefficient",
@@ -89,19 +88,6 @@ def spoly_eval_exact(k: int, x, n: int) -> Fraction:
     k = operator.index(k)
     a, b = integer_ratio(x)
     return Fraction(spoly_scaled(k, a, b, n), b ** (2 * k))
-
-
-def spoly_recursion_step(k: int, x: float, n: int, s_km1: float, s_km2: float) -> float:
-    """Advance the three-term recursion
-
-        k S_k = [(x^2-1)(n+k) + 2k-1] S_{k-1} - (k-1) x^2 S_{k-2}.
-
-    Inputs are S_{k-1} and S_{k-2} at the same (x, n).
-    """
-    if k < 2:
-        raise ValueError("recursion starts at k = 2")
-    x2 = x * x
-    return (((x2 - 1.0) * (n + k) + 2 * k - 1) * s_km1 - (k - 1) * x2 * s_km2) / k
 
 
 def symmetric_s(x, p: int, j: int, N: int):

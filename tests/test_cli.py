@@ -17,6 +17,7 @@ from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, post_select, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import ScanReport
+from nssgate.polynomials import spoly_scaled
 from test_gate_solver import WIDE_40
 
 SEARCH_SETTINGS = ("bisect_tol", "identity_tol")
@@ -378,7 +379,17 @@ class TestIdentities:
         doc = json.loads(out)
         assert doc["pass"] is True
         (rec,) = doc["suites"]["a"]
-        assert rec["max_residual"] <= 1e-9
+        assert rec["instances"] == 1957 and rec["max_residual"] == 0.0
+
+    def test_planted_recursion_error_fails(self, capsys, monkeypatch):
+        # the recursion is checked on the integers b^{2k} S_k, so one unit in
+        # b^{40} S_20 fails even at x = a/1000, where a relative float
+        # residual could not see an error of 1e-120
+        monkeypatch.setattr(nssgate.cli, "spoly_scaled", lambda k, a, b, n: spoly_scaled(k, a, b, n) + (k == 20 and b > 1))
+        code, out, _ = run(capsys, "identities", "--suite", "a")
+        assert code == 3
+        (rec,) = json.loads(out)["suites"]["a"]
+        assert rec["identity"] == "three_term_recursion" and rec["pass"] is False and rec["max_residual"] > 0
 
     def test_suite_c_integer_path_exact(self, capsys):
         code, out, _ = run(capsys, "identities", "--suite", "c")
@@ -399,7 +410,7 @@ class TestIdentities:
         assert sum(r["pass"] is False and r["max_residual"] > 0 for r in doc["suites"]["c"]) == 1
 
     @pytest.mark.parametrize(
-        "suite, name", [("a", "spoly_recursion_step"), ("c", "gapped_vandermonde_S")], ids=["a", "c"]
+        "suite, name", [("a", "spoly_scaled"), ("c", "gapped_vandermonde_S")], ids=["a", "c"]
     )
     def test_nan_residual_fails(self, capsys, monkeypatch, suite, name):
         # a NaN compares false with every bound, so a running max() would drop it
@@ -430,7 +441,7 @@ PINNED_OUTPUTS = {
     "solve_2_5,6": (("solve", "--n", "2", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "aef1a1a1c6ab3e86c1521248bd71350b6239b575383d3f5d8fd12ac2d0e3c299"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
-    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "db568b032109ef662597c5b9163c7d7a50ed5aab720c5963a8cafb406a65390b"),
+    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "d160287145e525442f8cf178e14883a6763f848e035cbbbb8b21a2da2a802750"),
 }
 
 

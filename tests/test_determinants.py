@@ -166,6 +166,14 @@ def test_vandermonde_S_minimal_nodes():
         assert vandermonde_S(NodeSet.minimal(N), x) == pytest.approx(want, rel=1e-12)
 
 
+def test_vandermonde_S_float_x_is_the_exact_value_rounded_once():
+    # V_N / prod k! leaves the float range here though the value, 2.7e-9, does not
+    nodes = NodeSet(tuple(range(0, 400, 10)))
+    got = vandermonde_S(nodes, 0.95)
+    assert type(got) is float
+    assert got == pytest.approx(float(vandermonde_S(nodes, Fraction(0.95))), rel=1e-12)
+
+
 def test_vandermonde_S_single_node():
     assert vandermonde_S(NodeSet((5,)), 0.3) == pytest.approx(1.0)
 

@@ -89,11 +89,17 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             BeamSplitter(1.5)
 
-    @pytest.mark.parametrize("T", [1 + 1e-12, -1 - 1e-12, math.nextafter(1.0, 2.0)], ids=["1e-12", "-1e-12", "ulp"])
+    @pytest.mark.parametrize(
+        "T",
+        [1 + 1e-12, -1 - 1e-12, math.nextafter(1.0, 2.0), 10**400, Fraction(-(10**400))],
+        ids=["1e-12", "-1e-12", "ulp", "int-1e400", "Fraction-1e400"],
+    )
     def test_rejects_any_excess_over_unity(self, T):
-        # with r clamped to 0, such a T would make diagonal elements above 1
-        with pytest.raises(ValueError, match="must not exceed 1"):
-            BeamSplitter(T)
+        # with r clamped to 0, such a T would make diagonal elements above 1;
+        # past the float range complex(T) overflows, and that is rejected alike
+        for make in (BeamSplitter, functools.partial(success_probability, NodeSet((0, 1)))):
+            with pytest.raises(ValueError, match="must not exceed 1"):
+                make(T)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from nssgate.polynomials import (
     oneq_coefficient,
     spoly_eval,
     spoly_eval_exact,
-    spoly_recursion_step,
     spoly_scaled,
     symmetric_s,
 )
@@ -151,15 +150,23 @@ def test_numpy_integer_order_and_photon_number():
             assert type(got) is float and got == bs_diagonal_element(k, 5, bs)
 
 
+def _recursion_residual(k: int, x, n: int) -> int:
+    """k S_k - [(x^2-1)(n+k) + 2k-1] S_{k-1} + (k-1) x^2 S_{k-2}, times b^{2k}:
+    an integer on s_j = b^{2j} S_j (`spoly_scaled`) at x = a/b, 0 exactly."""
+    a, b = Fraction(x).as_integer_ratio()
+    a2, b2 = a * a, b * b
+    s2, s1, s0 = (spoly_scaled(j, a, b, n) for j in (k - 2, k - 1, k))
+    return k * s0 - ((a2 - b2) * (n + k) + (2 * k - 1) * b2) * s1 + (k - 1) * a2 * b2 * s2
+
+
 def test_recursion_trivial_cases():
-    assert spoly_recursion_step(2, 1.0, 5, 1.0, 1.0) == pytest.approx(1.0)
+    # x = 1: S_k = 1 for every k
+    assert [spoly_scaled(k, 1, 1, 5) for k in range(3)] == [1, 1, 1]
+    assert _recursion_residual(2, 1, 5) == 0
     # x = 0: S_k = (-1)^k C(n,k), so S_1(4) = -4 feeds forward to S_2(4) = 6
-    assert spoly_recursion_step(2, 0.0, 4, -4.0, 1.0) == pytest.approx(6.0)
-    assert spoly_recursion_step(5, 0.3, 9, spoly_eval(4, 0.3, 9), spoly_eval(3, 0.3, 9)) == pytest.approx(
-        spoly_eval(5, 0.3, 9), rel=1e-10
-    )
-    with pytest.raises(ValueError):
-        spoly_recursion_step(1, 0.5, 3, 1.0, 1.0)
+    assert [spoly_scaled(k, 0, 1, 4) for k in range(3)] == [1, -4, 6]
+    assert _recursion_residual(2, 0, 4) == 0
+    assert _recursion_residual(5, Fraction(3, 10), 9) == 0
 
 
 def test_recursion_random_points():
@@ -169,13 +176,8 @@ def test_recursion_random_points():
     xs += [Fraction(int(rng.integers(-999, 1000)), 1000) for _ in range(100)]
     for x in xs:
         n = int(rng.integers(0, 35))
-        prev2 = float(spoly_eval_exact(0, x, n))
-        prev1 = float(spoly_eval_exact(1, x, n))
         for k in range(2, 21):
-            ref = float(spoly_eval_exact(k, x, n))
-            got = spoly_recursion_step(k, float(x), n, prev1, prev2)
-            assert got == pytest.approx(ref, rel=1e-9, abs=1e-250)
-            prev2, prev1 = prev1, ref
+            assert _recursion_residual(k, x, n) == 0, (k, x, n)
 
 
 def test_elementary_sigma_values():
