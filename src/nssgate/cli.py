@@ -3,8 +3,8 @@
 Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
 and sweep tables), embed schema/version/tolerances and, for the randomized
 verify and identities, the seed, and are written atomically when --out is
-given.  Exit codes: 0 success, 1 usage/validation error, 2 infeasible (no
-root found), 3 identity/verification failure.
+given.  Exit codes: 0 success, 1 usage/validation error, 2 no root for
+solve's node set, 3 identity/verification failure.
 """
 
 from __future__ import annotations
@@ -80,21 +80,6 @@ def _emit(text: str, out_path):
         raise
 
 
-def _envelope(command: str, payload: dict) -> dict:
-    art = {
-        "schema": 6,
-        "version": __version__,
-        "command": command,
-        "tolerances": {"bisect_tol": BISECT_TOL, "identity_tol": IDENTITY_TOL},
-    }
-    art.update(payload)
-    return art
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _seed(text: str) -> int:
     """argparse type of --seed: numpy's generator takes non-negative seeds only."""
     if not text.isdecimal():
@@ -110,24 +95,26 @@ def _parse_nodes(text: str) -> NodeSet:
     return NodeSet(vals)  # NodeSet rejects duplicates/negatives/disorder
 
 
-def _write(args, command: str, payload: dict, header: str, rows) -> None:
-    """Write the JSON envelope, or with --format csv the header line and one line per (N, *floats) row."""
-    if args.format == "csv":
-        lines = [header] + [",".join([str(N)] + [_fmt(v) for v in vals]) for N, *vals in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+def _write(args, command: str, payload: dict, gates=None) -> None:
+    """Write the JSON envelope of one command, or with --format csv the table
+    N,T,p with one line per GateSolution of gates (solve and sweep only)."""
+    if gates is not None and args.format == "csv":
+        text = "N,T,p\n" + "".join(f"{g.N},{_fmt(g.T)},{_fmt(g.p)}\n" for g in gates)
     else:
-        _emit(_json_dump(_envelope(command, payload)), args.out)
+        art = {
+            "schema": 6,
+            "version": __version__,
+            "command": command,
+            "tolerances": {"bisect_tol": BISECT_TOL, "identity_tol": IDENTITY_TOL},
+        }
+        text = json.dumps({**art, **payload}, indent=2, sort_keys=True)
+    _emit(text, args.out)
 
 
 def cmd_solve(args) -> int:
-    if args.nodes is not None:
-        nodes = _parse_nodes(args.nodes)
-        if len(nodes) != args.n:
-            raise ValueError(f"--nodes has {len(nodes)} entries, --n is {args.n}")
-    else:
-        nodes = NodeSet.minimal(args.n)
+    nodes = NodeSet.minimal(args.n) if args.nodes is None else _parse_nodes(args.nodes)
     report = scan_nodes(nodes)
-    solution, rows = None, []
+    solution, gates = None, []
     if report.best is not None:
         sol = report.best.solution
         solution = {
@@ -139,15 +126,14 @@ def cmd_solve(args) -> int:
             "alphas": [[float(a), 0.0] for a in sol.alphas],
             "gammas": list(sol.gammas),
         }
-        rows = [(sol.N, sol.T, 0.0, sol.p)]
-    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, "N,T_re,T_im,p", rows)
+        gates = [sol]
+    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, gates)
     return 2 if solution is None else 0
 
 
 def cmd_sweep(args) -> int:
     rows = sweep(args.n_min, args.n_max)
-    payload = {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}
-    _write(args, "sweep", payload, "N,T,p", ((r.N, r.T, r.p) for r in rows))
+    _write(args, "sweep", {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}, rows)
     return 0
 
 
@@ -163,11 +149,7 @@ def cmd_verify(args) -> int:
         raise ValueError("need N >= 1")
     if args.trials < 1:
         raise ValueError("need --trials >= 1")
-    report = scan_nodes(NodeSet.minimal(N))
-    if report.best is None:
-        print("error: no gate found", file=sys.stderr)
-        return 2
-    sol = report.best.solution
+    sol = scan_nodes(NodeSet.minimal(N)).best.solution  # the minimal set always has its gate
     lam = gate_amplitudes(sol)
     rng = np.random.default_rng(args.seed)
     fid_errs, p_errs = [], []
@@ -189,7 +171,7 @@ def cmd_verify(args) -> int:
         "pass": fid_ok and p_ok,
         "seed": args.seed,
     }
-    _emit(_json_dump(_envelope("verify", payload)), args.out)
+    _write(args, "verify", payload)
     return 0 if payload["pass"] else 3
 
 
@@ -308,7 +290,7 @@ def cmd_identities(args) -> int:
     selected = list(suites) if args.suite == "all" else [args.suite]
     report = {name: suites[name](np.random.default_rng(args.seed)) for name in selected}
     ok = all(r["pass"] for res in report.values() for r in res)
-    _emit(_json_dump(_envelope("identities", {"suites": report, "pass": ok, "seed": args.seed})), args.out)
+    _write(args, "identities", {"suites": report, "pass": ok, "seed": args.seed})
     return 0 if ok else 3
 
 
@@ -320,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (atomic write); default stdout")
 
     p = sub.add_parser("solve", help="solve the gate for one node set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nodes", default=None, help="comma-separated photon numbers (default 0..N-1)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int, help="the minimal node set 0..N-1")
+    which.add_argument("--nodes", help="comma-separated photon numbers; N is their count")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
     p.set_defaults(func=cmd_solve)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
@@ -72,11 +72,11 @@ class BeamSplitter:
         try:
             t = complex(self.T)
         except OverflowError:  # past the float range, so |T| > 1 too
-            t = complex(math.inf)
+            t = complex(math.inf if self.T > 0 else -math.inf)
         if t.imag != 0.0:
             raise ValueError(f"the beam splitter takes real T only, got {self.T!r}")
-        if not abs(t) <= 1.0:  # NaN fails this too
-            raise ValueError(f"|T| must not exceed 1, got {self.T!r}")
+        if not abs(t) <= 1.0:  # NaN fails this too; no repr of T, which raises past 4300 digits
+            raise ValueError(f"|T| must not exceed 1, got {t.real!r}")
         object.__setattr__(self, "T", t.real)
 
     @property
@@ -350,6 +350,8 @@ class GateSolution:
     alphas: tuple
     gammas: tuple
     p: float
+    # p to 34 digits, in range where the float p underflows; scan_nodes ranks by it
+    p_decimal: Decimal | None = field(default=None, compare=False, repr=False)
 
 
 def success_probability(nodes: NodeSet, T) -> GateSolution:
@@ -362,7 +364,7 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
     lambda_k = +1/||v||_1, and at a root lambda_N = f^T v / ||v||_1 =
     -1/||v||_1, so p = 1/||v||_1^2.  v_l den = num_l / (D_l T^{n_l}) is taken
     to 34 digits in `DECIMAL_CONTEXT`, p alone divides by den, and p and
-    each weight are rounded once to a float.
+    each weight are rounded once to a float; p's 34 digits stay as `p_decimal`.
 
     Needs 0 < |T| < 1; T = -1 is allowed for N = 1 (p = 1), where only y_0 = 1
     enters.  Any other T raises ValueError, and so do photon numbers whose
@@ -379,9 +381,9 @@ def success_probability(nodes: NodeSet, T) -> GateSolution:
             v = [_to_decimal(num, D) / tn**n for n, (num, D) in zip(nodes, u)]  # v_l den
             total = sum(abs(x) for x in v)
             ratios = [float(x / total) for x in v]
-            p = float((_to_decimal(den, 1) / total) ** 2)
+            p = (_to_decimal(den, 1) / total) ** 2
     except ArithmeticError:
         raise ValueError("photon numbers too large: T^n leaves the decimal exponent range") from None
     mags = [math.sqrt(abs(r)) for r in ratios]
     alphas = tuple(math.copysign(m, r) for m, r in zip(mags, ratios))
-    return GateSolution(N=N, T=t, nodes=nodes, alphas=alphas, gammas=tuple(mags), p=p)
+    return GateSolution(N=N, T=t, nodes=nodes, alphas=alphas, gammas=tuple(mags), p=float(p), p_decimal=p)

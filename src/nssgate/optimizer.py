@@ -46,13 +46,14 @@ def scan_nodes(nodes: NodeSet) -> ScanReport:
     for any N; photon numbers whose T^n leave the decimal range raise ValueError."""
     sols = [success_probability(nodes, t) for t in find_transmission(nodes)]
     entries = tuple(ScanEntry(T=s.T, p=s.p, solution=s) for s in sols)
-    best = max(entries, key=lambda e: e.p, default=None)  # the first on ties
+    # ranked by p to 34 digits, since a float p below the float range reads 0.0
+    best = max(entries, key=lambda e: e.solution.p_decimal, default=None)  # the first on ties
     return ScanReport(nodes=nodes, entries=entries, skipped=(), best=best)
 
 
 def sweep(n_min: int, n_max: int) -> list:
-    """Scaling table for minimal nodes: the best GateSolution of each N = n_min..n_max."""
+    """Scaling table for minimal nodes: the best GateSolution of each N = n_min..n_max.
+    Each has one, the root T = 1 - 2^{1/N} of t^N [2 - (1-t)^N]."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    bests = (scan_nodes(NodeSet.minimal(N)).best for N in range(n_min, n_max + 1))
-    return [best.solution for best in bests if best is not None]
+    return [scan_nodes(NodeSet.minimal(N)).best.solution for N in range(n_min, n_max + 1)]

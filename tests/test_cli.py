@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -58,7 +59,7 @@ class TestSolve:
         assert scan["skipped"] == []
 
     def test_gapped_nodes_gate_passes_fock_oracle(self, capsys):
-        code, out, _ = run(capsys, "solve", "--n", "9", "--nodes", "0,4,6,7,8,9,12,14,16")
+        code, out, _ = run(capsys, "solve", "--nodes", "0,4,6,7,8,9,12,14,16")
         assert code == 0
         s = json.loads(out)["solution"]
         assert 0.69 <= s["T_re"] <= 0.695
@@ -86,7 +87,7 @@ class TestSolve:
         assert sol["p"] == pytest.approx(1.0, abs=1e-10)
 
     def test_custom_nodes(self, capsys):
-        code, out, _ = run(capsys, "solve", "--n", "3", "--nodes", "0,1,3")
+        code, out, _ = run(capsys, "solve", "--nodes", "0,1,3")
         assert code == 0
         doc = json.loads(out)
         assert doc["solution"]["nodes"] == [0, 1, 3]
@@ -96,21 +97,36 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "N,T_re,T_im,p"
+        assert lines[0] == "N,T,p"
         fields = lines[1].split(",")
         assert float(fields[1]) == pytest.approx(1 - math.sqrt(2), abs=1e-10)
 
     def test_invalid_nodes_exit_1(self, capsys):
-        code, _, err = run(capsys, "solve", "--n", "2", "--nodes", "1,1")
+        code, _, err = run(capsys, "solve", "--nodes", "1,1")
         assert code == 1
         assert "error" in err
-        code, _, _ = run(capsys, "solve", "--n", "2", "--nodes", "0,-2")
+        code, _, _ = run(capsys, "solve", "--nodes", "0,-2")
         assert code == 1
-        code, _, _ = run(capsys, "solve", "--n", "2", "--nodes", "0,x")
+        code, _, _ = run(capsys, "solve", "--nodes", "0,x")
         assert code == 1
 
-    def test_node_count_mismatch_exit_1(self, capsys):
-        assert run(capsys, "solve", "--n", "2", "--nodes", "0,1,2") == (1, "", "error: --nodes has 3 entries, --n is 2\n")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "2", "--nodes", "0,1"), "argument --nodes: not allowed with argument --n"),
+            ((), "one of the arguments --n --nodes is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_node_set_named_once(self, capsys, argv, message):
+        # --n names the minimal set and --nodes any set, whose length is N
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nssgate solve ")
+        assert captured.err.endswith(f"\nnssgate solve: error: {message}\n")
 
     def test_no_root_exit_2(self, capsys, monkeypatch):
         def empty_scan(nodes):
@@ -128,7 +144,7 @@ class TestSolve:
         monkeypatch.setattr("nssgate.cli.scan_nodes", empty_scan)
         code, out, _ = run(capsys, "solve", "--n", "2", "--format", "csv")
         assert code == 2
-        assert out == "N,T_re,T_im,p\n"
+        assert out == "N,T,p\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sol.json"
@@ -138,19 +154,35 @@ class TestSolve:
         doc = json.loads(target.read_text())
         assert doc["solution"]["p"] == pytest.approx(0.25, abs=1e-8)
 
+    def test_failed_rename_removes_the_temporary_file(self, capsys, tmp_path, monkeypatch):
+        # the write goes to a temporary file that replaces the target; when the
+        # replace fails, the temporary file goes and the target is untouched
+        target = tmp_path / "sol.json"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, out, err = run(capsys, "solve", "--n", "2", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {target}: Invalid cross-device link\n"
+        assert list(tmp_path.glob(".nssgate-*")) == [] and list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
+
     def test_huge_photon_number(self, capsys):
         # T^-999999 leaves the float range; the weights are evaluated in decimal
-        code, out, err = run(capsys, "solve", "--n", "3", "--nodes", "0,1,999999")
+        code, out, err = run(capsys, "solve", "--nodes", "0,1,999999")
         assert code == 0
         assert err == ""
         sol = json.loads(out)["solution"]
         assert sol["p"] == pytest.approx(1.0250946808188e-10, rel=1e-14, abs=0)
         assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n, nodes", [("2", f"0,{10**320}"), ("3", f"0,1,{10**200}")], ids=["n2", "n3"])
-    def test_photon_numbers_beyond_float_range_exit_1(self, capsys, n, nodes):
+    @pytest.mark.parametrize("nodes", [f"0,{10**320}", f"0,1,{10**200}"], ids=["n2", "n3"])
+    def test_photon_numbers_beyond_float_range_exit_1(self, capsys, nodes):
         # T^n of these photon numbers leaves even the decimal exponent range
-        code, out, err = run(capsys, "solve", "--n", n, "--nodes", nodes)
+        code, out, err = run(capsys, "solve", "--nodes", nodes)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
@@ -435,11 +467,11 @@ class TestIdentities:
 PINNED_OUTPUTS = {
     "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "a3d589082217706fab0efb6a52341bcfaf238feaf17f27adef14f9ce742814aa"),
     "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
-    "solve_2..61": (("solve", "--n", "60", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
-    "solve_wide_40": (("solve", "--n", "40", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
+    "solve_2..61": (("solve", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
+    "solve_wide_40": (("solve", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
     # three roots, on both sides of T = 0 and two of them 0.002 apart
-    "solve_2_5,6": (("solve", "--n", "2", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
-    "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "aef1a1a1c6ab3e86c1521248bd71350b6239b575383d3f5d8fd12ac2d0e3c299"),
+    "solve_2_5,6": (("solve", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
+    "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "c1069dbd4c574802e0f248905cbcc3cd4fb5631972e0b9250772e39ea625c7d3"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
     "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "d160287145e525442f8cf178e14883a6763f848e035cbbbb8b21a2da2a802750"),
 }

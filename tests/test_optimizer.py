@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_scan_past_fourteen():
     assert [e.T for e in report.entries] == [report.best.T]
     assert report.best.T == pytest.approx(-math.expm1(math.log(2) / 15), rel=1e-13)
     assert report.best.p * 15**2 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_best_gate_ranked_past_the_float_range():
+    # both roots' p underflow to 0.0 as floats; to 34 digits they are 2.8e-412
+    # and 9.6e-360, so the second root is the best gate, not the first
+    report = scan_nodes(NodeSet(tuple(sorted(random.Random(2).sample(range(495), 450)))))
+    assert [e.p for e in report.entries] == [0.0, 0.0]
+    assert report.best is report.entries[1]
+    assert report.best.T == pytest.approx(0.6216887887514133, abs=1e-12)
+    assert report.best.solution.p_decimal > 10**50 * report.entries[0].solution.p_decimal
 
 
 def test_sweep_first_three():
