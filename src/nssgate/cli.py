@@ -35,7 +35,6 @@ from .optimizer import scan_nodes, sweep
 from .polynomials import (
     gapped_binomial_expand,
     oneq_coefficient,
-    spoly_eval,
     spoly_scaled,
     symmetric_s,
 )
@@ -183,9 +182,9 @@ def _rand_x(rng) -> Fraction:
             return Fraction(v, 1000)
 
 
-def _identity(name: str, residuals: list, tol: float = 0) -> dict:
-    """Report of one identity, passed by the rule of `_verdict`: exact unless a tol is given."""
-    worst, ok = _verdict(residuals, tol)
+def _identity(name: str, residuals: list) -> dict:
+    """Report of one identity, passed by the rule of `_verdict` only if every residual is exactly 0."""
+    worst, ok = _verdict(residuals, 0)
     return {"identity": name, "instances": len(residuals), "max_residual": worst, "pass": ok}
 
 
@@ -205,14 +204,16 @@ def _recursion(rng) -> list:
     return residuals
 
 
-def _binomial(rng) -> float:
+def _binomial(rng) -> int:
+    """The expansion times b^{2N} at x = a/b, exact.  Each coefficient is `symmetric_s` times b^{2(N-j)}:
+    the one place its formula repeats, on integers, since `symmetric_s` keeps the type of x."""
     N = int(rng.integers(1, 9))
     p = int(rng.integers(0, N + 1))
     l = int(rng.integers(0, 2 * N + 1))
-    x = float(_rand_x(rng))
-    lhs = (x * x - 1.0) ** N * math.comb(l, p)
-    rhs = sum((-1) ** (N - j) * symmetric_s(x, p, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
-    return abs(lhs - rhs)
+    a, b = _rand_x(rng).as_integer_ratio()
+    a2, d = a * a, b * b - a * a
+    rhs = sum((-1) ** (N - j) * math.comb(p, j) * a2 ** (p - j) * spoly_scaled(j, a, b, l) for j in range(p + 1))
+    return abs((-d) ** N * math.comb(l, p) - d ** (N - p) * rhs)
 
 
 def _p_equals_N(rng) -> Fraction:
@@ -222,14 +223,14 @@ def _p_equals_N(rng) -> Fraction:
     return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
 
 
-def _one_gap_binomial(rng) -> float:
+def _one_gap_binomial(rng) -> Fraction:
+    """The one-gap expansion times (N+1) C(N,q) b^{2N} at x = a/b, exact."""
     N = int(rng.integers(1, 9))
     q = int(rng.integers(0, N + 1))
     l = int(rng.integers(0, 2 * N + 3))
-    x = float(_rand_x(rng))
-    lhs = (x * x - 1.0) ** N * gapped_binomial_expand(N + 1, q, l)
-    rhs = sum((-1) ** (N - j) * oneq_coefficient(x, q, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
-    return abs(lhs - rhs)
+    a, b = _rand_x(rng).as_integer_ratio()
+    rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
+    return abs((a * a - b * b) ** N * (N + 1) * math.comb(N, q) * gapped_binomial_expand(N + 1, q, l) - rhs)
 
 
 def _gap_product(rng) -> Fraction:
@@ -269,9 +270,9 @@ def _suite_a(rng) -> list:
 def _suite_b(rng) -> list:
     """Binomial expansions over the S-basis (gap-free and one-gap forms), 100 random instances each."""
     return [
-        _identity("binomial_over_S_basis", [_binomial(rng) for _ in range(100)], tol=IDENTITY_TOL),
+        _identity("binomial_over_S_basis", [_binomial(rng) for _ in range(100)]),
         _identity("p_equals_N_specialization", [_p_equals_N(rng) for _ in range(100)]),
-        _identity("one_gap_binomial_over_S_basis", [_one_gap_binomial(rng) for _ in range(100)], tol=IDENTITY_TOL),
+        _identity("one_gap_binomial_over_S_basis", [_one_gap_binomial(rng) for _ in range(100)]),
         _identity("gap_expansion_product_form", [_gap_product(rng) for _ in range(100)]),
     ]
 

@@ -60,7 +60,10 @@ class NodeSet:
     @classmethod
     def minimal(cls, N: int) -> "NodeSet":
         """The lowest admissible choice n_l = l-1, for which the closed forms hold."""
-        return cls(tuple(range(N)))
+        try:
+            return cls(tuple(range(N)))
+        except OverflowError:  # N past the largest length of a tuple
+            raise ValueError("N is too large for a node set") from None
 
     def __len__(self) -> int:
         return len(self.values)

@@ -12,8 +12,8 @@ recurrence and the sum from homogeneous Horner in a^2 and b^2-a^2, with no
 `Fraction`, `math.comb` or power per term.  `spoly_eval_exact` wraps it in one
 `Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
 beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n), one
-more quotient.  The expansion coefficients serve the `identities` suites,
-whose suite a checks the three-term recursion on `spoly_scaled`'s integers.
+more quotient.  The `identities` suites check the recursion and both S-basis
+expansions on `spoly_scaled`'s integers, with `oneq_coefficient` scaled alike.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def gapped_binomial_expand(p: int, q: int, l: int) -> Fraction:
     return Fraction(total, p * math.comb(p - 1, q))
 
 
-def oneq_coefficient(x: float, q: int, j: int, N: int) -> float:
-    """Gap-q expansion coefficient s_{N-j}^{(q)}(x; N):
+def oneq_coefficient(a: int, b: int, q: int, j: int, N: int) -> int:
+    """The integer (N+1) C(N,q) b^{2(N-j)} s_{N-j}^{(q)}(a/b), as `spoly_scaled` scales S, of the
+    gap-q expansion coefficient s_{N-j}^{(q)}(x; N):
 
     (x^2-1)^N C(l,N+1)/(l-q) = sum_j (-1)^{N-j} s_{N-j}^{(q)} S_j^{(x)}(l),
     s_{N-j}^{(q)} = [1/((N+1) C(N,q))] sum_r (-1)^{N-r} C(r,q) C(r,j)
@@ -133,8 +134,6 @@ def oneq_coefficient(x: float, q: int, j: int, N: int) -> float:
         raise ValueError("need 0 <= q <= N")
     if not 0 <= j <= N:
         raise ValueError("need 0 <= j <= N")
-    u = 1.0 - x * x
-    total = 0.0
-    for r in range(max(q, j), N + 1):
-        total += (-1) ** (N - r) * math.comb(r, q) * math.comb(r, j) * x ** (2 * (r - j)) * u ** (N - r)
-    return total / ((N + 1) * math.comb(N, q))
+    a2, d = a * a, b * b - a * a
+    rs = range(max(q, j), N + 1)
+    return sum((-1) ** (N - r) * math.comb(r, q) * math.comb(r, j) * a2 ** (r - j) * d ** (N - r) for r in rs)

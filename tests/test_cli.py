@@ -423,6 +423,22 @@ class TestIdentities:
         (rec,) = json.loads(out)["suites"]["a"]
         assert rec["identity"] == "three_term_recursion" and rec["pass"] is False and rec["max_residual"] > 0
 
+    def test_suite_b(self, capsys):
+        # the two S-basis expansions compare integers at x = a/b, so all four identities read exactly 0
+        code, out, _ = run(capsys, "identities", "--suite", "b")
+        assert code == 0
+        reports = json.loads(out)["suites"]["b"]
+        assert [(r["instances"], r["max_residual"], r["pass"]) for r in reports] == [(100, 0.0, True)] * 4
+
+    def test_planted_suite_b_error_fails(self, capsys, monkeypatch):
+        # one unit in b^{2j} S_j, j >= 1, is below any relative float bound at x = a/1000
+        monkeypatch.setattr(nssgate.cli, "spoly_scaled", lambda k, a, b, n: spoly_scaled(k, a, b, n) + (k >= 1))
+        code, out, _ = run(capsys, "identities", "--suite", "b")
+        assert code == 3
+        reports = json.loads(out)["suites"]["b"]
+        failed = {r["identity"] for r in reports if r["pass"] is False and r["max_residual"] > 0}
+        assert failed == {"binomial_over_S_basis", "one_gap_binomial_over_S_basis"}
+
     def test_suite_c_integer_path_exact(self, capsys):
         code, out, _ = run(capsys, "identities", "--suite", "c")
         assert code == 0
@@ -442,7 +458,9 @@ class TestIdentities:
         assert sum(r["pass"] is False and r["max_residual"] > 0 for r in doc["suites"]["c"]) == 1
 
     @pytest.mark.parametrize(
-        "suite, name", [("a", "spoly_scaled"), ("c", "gapped_vandermonde_S")], ids=["a", "c"]
+        "suite, name",
+        [("a", "spoly_scaled"), ("b", "oneq_coefficient"), ("c", "gapped_vandermonde_S")],
+        ids=["a", "b", "c"],
     )
     def test_nan_residual_fails(self, capsys, monkeypatch, suite, name):
         # a NaN compares false with every bound, so a running max() would drop it
@@ -473,7 +491,7 @@ PINNED_OUTPUTS = {
     "solve_2_5,6": (("solve", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "c1069dbd4c574802e0f248905cbcc3cd4fb5631972e0b9250772e39ea625c7d3"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
-    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "d160287145e525442f8cf178e14883a6763f848e035cbbbb8b21a2da2a802750"),
+    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "6fe3ece7430170d7b726656811c891758a7070241a1e1c5a629c3ffc851dace4"),
 }
 
 
@@ -500,6 +518,21 @@ def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--bogus"])
     assert exc.value.code == 1
+
+
+HUGE_N = str(10**21)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--n", HUGE_N), ("verify", "--n", HUGE_N), ("sweep", "--n-min", HUGE_N, "--n-max", HUGE_N)],
+    ids=["solve", "verify", "sweep"],
+)
+def test_n_past_any_tuple_length_exits_1(capsys, argv):
+    # no tuple is longer than sys.maxsize, so the minimal node set {0..N-1} cannot be built
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: N is too large for a node set\n"
 
 
 @pytest.mark.parametrize(

@@ -100,13 +100,27 @@ class TestBeamSplitter:
             10**5000,
             -(10**5000),
             Fraction(10**5000, 3),
+            Fraction(10**17 + 1, 10**17),
+            Fraction(-(10**17 + 1), 10**17),
         ],
-        ids=["1e-12", "-1e-12", "ulp", "int-1e400", "Fraction-1e400", "int-1e5000", "int--1e5000", "Fraction-1e5000"],
+        ids=[
+            "1e-12",
+            "-1e-12",
+            "ulp",
+            "int-1e400",
+            "Fraction-1e400",
+            "int-1e5000",
+            "int--1e5000",
+            "Fraction-1e5000",
+            "Fraction-1+1e-17",
+            "Fraction--1-1e-17",
+        ],
     )
     def test_rejects_any_excess_over_unity(self, T):
         # with r clamped to 0, such a T would make diagonal elements above 1;
-        # past the float range complex(T) overflows, and that is rejected alike,
-        # with a message that holds no repr of an int of over 4300 digits
+        # |T| is bounded before T is rounded to a float, which reads 1 + 1e-17
+        # as 1 and has no value past 1e308, and the message holds no repr of
+        # an int of over 4300 digits
         for make in (BeamSplitter, functools.partial(success_probability, NodeSet((0, 1)))):
             with pytest.raises(ValueError, match=r"^\|T\| must not exceed 1"):
                 make(T)

@@ -252,28 +252,31 @@ def test_symmetric_s_follows_the_type_of_x():
 
 
 def test_binomial_expansion_over_s_basis():
-    # (x^2-1)^N C(l,p) = sum_j (-1)^{N-j} s_{N-j}(x;p;N) S_j(l)
+    # (x^2-1)^N C(l,p) = sum_j (-1)^{N-j} s_{N-j}(x;p;N) S_j(l), exactly at x = a/b
     rng = np.random.default_rng(SEED)
     for N in range(1, 9):
-        x = float(Fraction(int(rng.integers(-949, 950)), 1000))
+        x = Fraction(int(rng.integers(-949, 950)), 1000)
         for p in range(N + 1):
             for l in range(2 * N + 1):
                 lhs = (x * x - 1) ** N * math.comb(l, p)
-                rhs = sum((-1) ** (N - j) * symmetric_s(x, p, j, N) * spoly_eval(j, x, l) for j in range(N + 1))
-                assert abs(lhs - rhs) <= 1e-9
+                rhs = sum((-1) ** (N - j) * symmetric_s(x, p, j, N) * spoly_eval_exact(j, x, l) for j in range(N + 1))
+                assert lhs == rhs, (N, p, l, x)
 
 
 def test_one_gap_expansion_over_s_basis():
+    # the same with the gap-q coefficient, unscaled from its integer
+    # (N+1) C(N,q) b^{2(N-j)} s_{N-j}^{(q)}(a/b), exactly at x = a/b
     rng = np.random.default_rng(SEED)
     for N in range(1, 9):
-        x = float(Fraction(int(rng.integers(-949, 950)), 1000))
+        x = Fraction(int(rng.integers(-949, 950)), 1000)
+        a, b = x.as_integer_ratio()
         for q in range(N + 1):
+            scale = [(N + 1) * math.comb(N, q) * b ** (2 * (N - j)) for j in range(N + 1)]
+            s = [Fraction(oneq_coefficient(a, b, q, j, N), scale[j]) for j in range(N + 1)]
             for l in range(2 * N + 3):
                 lhs = (x * x - 1) ** N * gapped_binomial_expand(N + 1, q, l)
-                rhs = sum(
-                    (-1) ** (N - j) * oneq_coefficient(x, q, j, N) * spoly_eval(j, x, l) for j in range(N + 1)
-                )
-                assert abs(lhs - rhs) <= 1e-9
+                rhs = sum((-1) ** (N - j) * s[j] * spoly_eval_exact(j, x, l) for j in range(N + 1))
+                assert lhs == rhs, (N, q, l, x)
 
 
 def test_gapped_binomial_examples():
