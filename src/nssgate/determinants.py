@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .polynomials import integer_ratio, spoly_scaled
 
 __all__ = [
@@ -79,6 +77,7 @@ def dense_det(matrix) -> float:
     Dimension 0 returns 1 by the empty-product convention.  A complex matrix
     raises ValueError.  `exact_det` is the exact-rational path.
     """
+    import numpy as np
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -156,6 +155,7 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
     """The S-basis Vandermonde matrix, rows k = 0..N-1, columns the nodes: x
     is split into a/b once, and each element is `spoly_scaled` over b^{2k},
     a `Fraction` if exact, else a float rounded once."""
+    import numpy as np
     a, b = integer_ratio(x)
     div = Fraction if exact else operator.truediv
     rows = [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]

@@ -8,15 +8,14 @@ U_{M-1}, and the gate is verified end to end by projecting the ancilla back
 onto its input photon number.  A diagonal element <k, n|U|k, n> needs only
 column 0 of U_n and k raising steps, so the gate walks no other column.
 Serves as the oracle for the diagonal matrix elements and for the sign-flip
-rule c_N -> -c_N.
+rule c_N -> -c_N.  Each function that walks or contracts imports numpy when
+called, so importing this module (as `nssgate` does) loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .gate_solver import BeamSplitter, GateSolution, build_coefficient_matrix
 
@@ -64,6 +63,7 @@ def _walk(starts, top: int, bs: BeamSplitter):
     The starts must increase, so the rows still going are a prefix; entry j of a
     row is level j of the signal mode, zero-padded to top + 1 entries.
     """
+    import numpy as np
     if top < 0:
         raise ValueError("photon number must be non-negative")
     if top > SECTOR_CAP:
@@ -100,6 +100,7 @@ def _walk(starts, top: int, bs: BeamSplitter):
 
 def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
     """The real sector unitary u[kp, k] = <kp, M-kp| U |k, M-k>, of size M+1."""
+    import numpy as np
     # column k is walked from column 0 of U_{M-k}: the last row still going after k steps
     return np.stack([rows[-1] for rows in _walk(range(M + 1), M, bs)], axis=1)
 
@@ -114,6 +115,7 @@ def gate_amplitudes(sol: GateSolution, full: bool = False) -> np.ndarray:
     for all the nodes at once (photon-number selection-rule check); the
     sectors go up to N + max n <= SECTOR_CAP.
     """
+    import numpy as np
     bs = BeamSplitter(sol.T)
     w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
     if full:
@@ -129,6 +131,7 @@ def gate_amplitudes(sol: GateSolution, full: bool = False) -> np.ndarray:
 def post_select(signal: SignalState, lam: np.ndarray):
     """(output SignalState, acceptance probability) of the signal through a
     gate with per-level amplitudes lam (`gate_amplitudes`)."""
+    import numpy as np
     if len(lam) != signal.N + 1:
         raise ValueError("signal dimension does not match the gate order")
     out_raw = np.array(signal.coefficients) * lam

@@ -32,8 +32,6 @@ import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-import numpy as np
-
 from .determinants import NodeSet, exact_det
 from .polynomials import spoly_scaled
 
@@ -69,7 +67,11 @@ class BeamSplitter:
     def __post_init__(self):
         if isinstance(self.T, (str, bytes)):
             raise TypeError(f"the beam splitter takes a number, got {type(self.T).__name__}")
-        if not abs(self.T) <= 1:  # NaN fails this too; no repr of T, which raises past 4300 digits
+        try:
+            bounded = abs(self.T) <= 1  # NaN fails this too; no repr of T, which raises past 4300 digits
+        except decimal.InvalidOperation:  # a Decimal NaN signals instead
+            bounded = False
+        if not bounded:
             raise ValueError("|T| must not exceed 1")
         t = complex(self.T)
         if t.imag != 0.0:
@@ -116,6 +118,7 @@ def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
     oracle's default `apply_gate` contracts these rows with the weights: a2
     gives the amplitudes of levels k < N, a1 that of level N.  T is split into
     m/q once for all elements (`bs_diagonal_element`)."""
+    import numpy as np
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
@@ -283,6 +286,7 @@ def cofactors(matrix, row: int):
     """Cofactor row A_{row, l} (row is 0-based, 0..N-1): signed minors of the
     float matrix, each determinant taken in exact rational arithmetic (the
     empty minor of a 1x1 matrix gives 1)."""
+    import numpy as np
     a = np.asarray(matrix)
     N = a.shape[0]
     if a.shape != (N, N):

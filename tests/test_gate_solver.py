@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -125,9 +126,11 @@ class TestBeamSplitter:
             with pytest.raises(ValueError, match=r"^\|T\| must not exceed 1"):
                 make(T)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            BeamSplitter(float("nan"))
+    @pytest.mark.parametrize("T", [float("nan"), Decimal("NaN"), Decimal("sNaN")], ids=["float", "Decimal", "Decimal-signaling"])
+    def test_rejects_nan(self, T):
+        # a Decimal NaN signals InvalidOperation when compared, instead of comparing false
+        with pytest.raises(ValueError, match=r"^\|T\| must not exceed 1"):
+            BeamSplitter(T)
 
 
 class TestDiagonalElement:

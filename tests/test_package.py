@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import nssgate
 
 MODULES = ["nssgate"] + [f"nssgate.{m}" for m in ("cli", "determinants", "fock_oracle", "gate_solver", "optimizer", "polynomials")]
 
@@ -7,3 +14,30 @@ MODULES = ["nssgate"] + [f"nssgate.{m}" for m in ("cli", "determinants", "fock_o
 def test_every_public_name_resolves(module):
     # a star import raises AttributeError for a name in __all__ that the module lacks
     exec(f"from {module} import *", {})
+
+
+def _check_numpy_in_child(argvs: list, loaded: bool) -> None:
+    """A fresh interpreter imports the package from the directory this process
+    imported it from, runs cli.main on each argv, and exits non-zero unless
+    'numpy' in sys.modules is `loaded`."""
+    code = (
+        "import sys\n"
+        "import nssgate\n"
+        "from nssgate import cli, fock_oracle\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        f"sys.exit(None if ('numpy' in sys.modules) == {loaded} else 'numpy in sys.modules: {not loaded}')\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(nssgate.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+
+
+def test_solve_and_sweep_never_import_numpy():
+    # the exact solver needs only ints, Fraction and decimal, and numpy's import is most of a solve's time
+    argvs = [["solve", "--n", "14"], ["solve", "--nodes", "0,2,3,5,6,9", "--format", "csv"], ["sweep", "--n-min", "1", "--n-max", "30"]]
+    _check_numpy_in_child(argvs, loaded=False)
+    # verify draws its signals from numpy's generator, so the check above cannot pass by breaking it
+    _check_numpy_in_child([["verify", "--n", "2", "--trials", "3"]], loaded=True)
