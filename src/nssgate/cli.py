@@ -4,8 +4,8 @@ Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
 and sweep tables), embed schema/version/tolerances and, for the randomized
 verify and identities, the seed, and are written atomically when --out is
 given.  Exit codes: 0 success, 1 usage/validation error, 2 no root for
-solve's node set, 3 identity/verification failure.  solve and sweep never
-import numpy; verify and identities import it for their seeded generators.
+solve's node set, 3 identity/verification failure.  solve, sweep and
+identities never import numpy; verify imports it for its seeded generator.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import random
 import stat
 import sys
 import tempfile
@@ -79,7 +80,9 @@ def _emit(text: str, out_path):
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generator takes non-negative seeds only."""
+    """argparse type of --seed: a non-negative integer.  verify's numpy generator rejects
+    a negative seed; identities' `random.Random` would take one, but one rule for both
+    commands is the CLI's contract (test_negative_seed_is_a_usage_error)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -177,7 +180,7 @@ def cmd_verify(args) -> int:
 def _rand_x(rng) -> Fraction:
     """Random non-zero rational sample point in [-0.95, 0.95] (exact, reproducible)."""
     while True:
-        v = int(rng.integers(-950, 951))
+        v = rng.randint(-950, 950)
         if v != 0:
             return Fraction(v, 1000)
 
@@ -194,7 +197,7 @@ def _recursion(rng) -> list:
     xs = [Fraction(0), Fraction(1), Fraction(-1)] + [_rand_x(rng) for _ in range(100)]
     residuals = []
     for x in xs:
-        n = int(rng.integers(0, 31))
+        n = rng.randrange(0, 31)
         a, b = x.as_integer_ratio()
         a2, b2 = a * a, b * b
         s = [spoly_scaled(k, a, b, n) for k in range(21)]
@@ -207,9 +210,9 @@ def _recursion(rng) -> list:
 def _binomial(rng) -> int:
     """The expansion times b^{2N} at x = a/b, exact.  Each coefficient is `symmetric_s` times b^{2(N-j)}:
     the one place its formula repeats, on integers, since `symmetric_s` keeps the type of x."""
-    N = int(rng.integers(1, 9))
-    p = int(rng.integers(0, N + 1))
-    l = int(rng.integers(0, 2 * N + 1))
+    N = rng.randrange(1, 9)
+    p = rng.randrange(0, N + 1)
+    l = rng.randrange(0, 2 * N + 1)
     a, b = _rand_x(rng).as_integer_ratio()
     a2, d = a * a, b * b - a * a
     rhs = sum((-1) ** (N - j) * math.comb(p, j) * a2 ** (p - j) * spoly_scaled(j, a, b, l) for j in range(p + 1))
@@ -217,26 +220,26 @@ def _binomial(rng) -> int:
 
 
 def _p_equals_N(rng) -> Fraction:
-    N = int(rng.integers(1, 9))
-    j = int(rng.integers(0, N + 1))
+    N = rng.randrange(1, 9)
+    j = rng.randrange(0, N + 1)
     x = _rand_x(rng)
     return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
 
 
 def _one_gap_binomial(rng) -> Fraction:
     """The one-gap expansion times (N+1) C(N,q) b^{2N} at x = a/b, exact."""
-    N = int(rng.integers(1, 9))
-    q = int(rng.integers(0, N + 1))
-    l = int(rng.integers(0, 2 * N + 3))
+    N = rng.randrange(1, 9)
+    q = rng.randrange(0, N + 1)
+    l = rng.randrange(0, 2 * N + 3)
     a, b = _rand_x(rng).as_integer_ratio()
     rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
     return abs((a * a - b * b) ** N * (N + 1) * math.comb(N, q) * gapped_binomial_expand(N + 1, q, l) - rhs)
 
 
 def _gap_product(rng) -> Fraction:
-    p = int(rng.integers(1, 9))
-    q = int(rng.integers(0, p))
-    l = int(rng.integers(-3, 2 * p + 3))
+    p = rng.randrange(1, 9)
+    q = rng.randrange(0, p)
+    l = rng.randrange(-3, 2 * p + 3)
     prod = math.prod(l - k for k in range(p) if k != q)
     return abs(gapped_binomial_expand(p, q, l) - Fraction(prod, math.factorial(p)))
 
@@ -248,16 +251,15 @@ def _vandermonde_power() -> list:
 
 
 def _gapped_S(rng) -> Fraction:
-    N = int(rng.integers(2, 11))
-    gap = int(rng.integers(0, N))
+    N = rng.randrange(2, 11)
+    gap = rng.randrange(0, N)
     x = _rand_x(rng)
     return abs(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), x) - gapped_vandermonde_S(N, gap, x))
 
 
 def _product_rule(rng) -> Fraction:
-    N = int(rng.integers(1, 11))
-    vals = sorted(rng.choice(2 * N + 2, size=N, replace=False).tolist())
-    nodes = NodeSet(tuple(int(v) for v in vals))
+    N = rng.randrange(1, 11)
+    nodes = NodeSet(tuple(sorted(rng.sample(range(2 * N + 2), N))))
     x = _rand_x(rng)
     return abs(spoly_det(nodes, x) - vandermonde_S(nodes, x))
 
@@ -287,10 +289,9 @@ def _suite_c(rng) -> list:
 
 
 def cmd_identities(args) -> int:
-    import numpy as np
     suites = {"a": _suite_a, "b": _suite_b, "c": _suite_c}
     selected = list(suites) if args.suite == "all" else [args.suite]
-    report = {name: suites[name](np.random.default_rng(args.seed)) for name in selected}
+    report = {name: suites[name](random.Random(args.seed)) for name in selected}
     ok = all(r["pass"] for res in report.values() for r in res)
     _write(args, "identities", {"suites": report, "pass": ok, "seed": args.seed})
     return 0 if ok else 3

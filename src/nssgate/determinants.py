@@ -155,11 +155,13 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
     """The S-basis Vandermonde matrix, rows k = 0..N-1, columns the nodes: x
     is split into a/b once, and each element is `spoly_scaled` over b^{2k},
     a `Fraction` if exact, else a float rounded once."""
-    import numpy as np
     a, b = integer_ratio(x)
     div = Fraction if exact else operator.truediv
     rows = [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
-    return rows if exact else np.array(rows)
+    if exact:
+        return rows
+    import numpy as np
+    return np.array(rows)
 
 
 def spoly_det(nodes: NodeSet, x) -> Fraction:

@@ -20,6 +20,7 @@ negative.
 
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -150,8 +151,7 @@ def test_criterion_5_end_to_end_gate():
 def test_criterion_6_appendix_suites():
     results = []
     for suite in (_suite_a, _suite_b, _suite_c):
-        rng = np.random.default_rng(SEED)
-        results.extend(suite(rng))
+        results.extend(suite(random.Random(SEED)))
     worst = max(r["max_residual"] for r in results)
     exact = next(r for r in results if r["identity"] == "gapped_vandermonde_power_exact")
     ok = all(r["pass"] for r in results) and exact["max_residual"] == 0.0

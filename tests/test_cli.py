@@ -477,6 +477,31 @@ class TestIdentities:
         assert run(capsys, "identities", "--suite", "all", "--seed", "1", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @staticmethod
+    def _suite_c_draws(capsys, monkeypatch, seed) -> dict:
+        """The (node values, x) of every spoly_det and vandermonde_S call of suite c at seed."""
+        calls = {"spoly_det": [], "vandermonde_S": []}
+        for name, record in calls.items():
+            closed = getattr(nssgate.determinants, name)
+            monkeypatch.setattr(nssgate.cli, name, lambda nodes, x, f=closed, r=record: r.append((nodes.values, x)) or f(nodes, x))
+        assert run(capsys, "identities", "--suite", "c", "--seed", str(seed))[0] == 0
+        return calls
+
+    def test_seed_drives_the_draws_in_range(self, capsys, monkeypatch):
+        # every residual is 0 at any draw, so only the recorded instances show what the seed picks
+        draws = self._suite_c_draws(capsys, monkeypatch, 0)
+        assert draws == self._suite_c_draws(capsys, monkeypatch, 0)
+        assert draws != self._suite_c_draws(capsys, monkeypatch, 1)
+        # 100 gapped-S instances, then 100 product-rule ones, each of which calls both
+        assert (len(draws["spoly_det"]), len(draws["vandermonde_S"])) == (200, 100)
+        assert draws["spoly_det"][100:] == draws["vandermonde_S"]
+        for _, x in draws["spoly_det"]:
+            assert type(x) is Fraction and (x * 1000).denominator == 1 and 0 < abs(x) <= Fraction(95, 100)
+        for nodes, x in draws["vandermonde_S"]:
+            N = len(nodes)
+            assert 1 <= N <= 10 and all(type(v) is int for v in nodes)
+            assert list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] <= 2 * N + 1
+
 
 # SHA-256 of the stdout of eight reports: the roots, the weights and p, as
 # printed, must not change by a bit when the solver's arithmetic does, nor

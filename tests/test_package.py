@@ -16,16 +16,17 @@ def test_every_public_name_resolves(module):
     exec(f"from {module} import *", {})
 
 
-def _check_numpy_in_child(argvs: list, loaded: bool) -> None:
+def _check_numpy_in_child(argvs: list, loaded: bool, then: str = "") -> None:
     """A fresh interpreter imports the package from the directory this process
-    imported it from, runs cli.main on each argv, and exits non-zero unless
-    'numpy' in sys.modules is `loaded`."""
+    imported it from, runs cli.main on each argv and then the statement `then`,
+    and exits non-zero unless 'numpy' in sys.modules is `loaded`."""
     code = (
         "import sys\n"
         "import nssgate\n"
         "from nssgate import cli, fock_oracle\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
         "assert codes == [0] * len(codes), codes\n"
+        f"{then}\n"
         f"sys.exit(None if ('numpy' in sys.modules) == {loaded} else 'numpy in sys.modules: {not loaded}')\n"
     )
     path = os.pathsep.join(filter(None, [str(Path(nssgate.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
@@ -41,3 +42,13 @@ def test_solve_and_sweep_never_import_numpy():
     _check_numpy_in_child(argvs, loaded=False)
     # verify draws its signals from numpy's generator, so the check above cannot pass by breaking it
     _check_numpy_in_child([["verify", "--n", "2", "--trials", "3"]], loaded=True)
+
+
+def test_identities_never_imports_numpy():
+    # every identity compares ints or Fractions, on instances drawn from random.Random
+    argvs = [["identities", "--suite", "all", "--seed", seed] for seed in ("0", str(2**40))]
+    _check_numpy_in_child(argvs + [["identities", "--suite", suite] for suite in "abc"], loaded=False)
+    # spoly_matrix returns Fraction rows on its exact path, and a numpy array only on the float one
+    for exact, loaded in ((True, False), (False, True)):
+        call = f"from fractions import Fraction; from nssgate.determinants import NodeSet, spoly_matrix; spoly_matrix(NodeSet((0, 1, 3)), Fraction(1, 2), exact={exact})"
+        _check_numpy_in_child([], loaded=loaded, then=call)
