@@ -8,8 +8,10 @@ U_{M-1}, and the gate is verified end to end by projecting the ancilla back
 onto its input photon number.  A diagonal element <k, n|U|k, n> needs only
 column 0 of U_n and k raising steps, so the gate walks no other column.
 Serves as the oracle for the diagonal matrix elements and for the sign-flip
-rule c_N -> -c_N.  Each function that walks or contracts imports numpy when
-called, so importing this module (as `nssgate` does) loads no numpy.
+rule c_N -> -c_N.  The walk, the full=True amplitudes and the post-selection
+run on plain floats; only `bs_sector_unitary`, which returns an array, and
+the default amplitudes, which contract `build_coefficient_matrix`, import
+numpy when called, so importing this module (as `nssgate` does) loads none.
 """
 
 from __future__ import annotations
@@ -37,15 +39,19 @@ SECTOR_CAP = 34
 
 @dataclass(frozen=True)
 class SignalState:
-    """(N+1)-dimensional signal state with amplitudes c_0..c_N."""
+    """(N+1)-dimensional signal state with amplitudes c_0..c_N; a string
+    amplitude raises TypeError, as the beam splitter's T does."""
 
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        if any(isinstance(c, str) for c in coeffs):  # complex() would parse it
+            raise TypeError("the signal takes numbers, got str")
+        coeffs = tuple(complex(c) for c in coeffs)
         if len(coeffs) < 2:
             raise ValueError("signal needs at least two levels")
-        norm = sum(abs(c) ** 2 for c in coeffs)
+        norm = sum(c.real * c.real + c.imag * c.imag for c in coeffs)  # inf past the float range
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails this too
             raise ValueError("signal state must be normalized")
         object.__setattr__(self, "coefficients", coeffs)
@@ -55,90 +61,110 @@ class SignalState:
         return len(self.coefficients) - 1
 
 
-def _walk(starts, top: int, bs: BeamSplitter):
-    """Yield, for i = 0, 1, ..., column i of U_{n+i} for each start n with n + i <= top.
+def _ladder(flat: list, s: float, up: list, down: list) -> list:
+    """One step of the recursion on a flat list of columns: every entry over s,
+    then entry p is up[p] times entry p-1 plus down[p] times entry p (entry -1
+    is zero), the division, products and sum of the whole-sector recursion
+    (`tests/reference.py`), so each entry is the same float.  zip stops at the
+    shortest of the four."""
+    v = [0.0]
+    v += [x / s for x in flat]
+    return [a * x + b * y for a, x, b, y in zip(up, v, down, v[1:])]
+
+
+def _walk(starts, top: int, width: int, bs: BeamSplitter, diagonal: bool = False):
+    """Yield (flat, stride) for i = 0, 1, ..., width - 1: entries 0..width-1 of
+    column i of U_{n+i}, one block of stride entries for each start n with
+    n + i <= top, in plain floats (entry j is level j of the signal mode).
 
     Column 0 of U_m is (-r a+ + T b+) on column 0 of U_{m-1} over sqrt(m), and
     column i of U_{n+i} is (T a+ + r b+) on column i-1 of U_{n+i-1} over sqrt(i).
-    The starts must increase, so the rows still going are a prefix; entry j of a
-    row is level j of the signal mode, zero-padded to top + 1 entries.
+    Entry j of a column takes entries j-1 and j of the one before, so the first
+    width entries need no others.  With diagonal the caller reads entry i of step
+    i alone, which needs entries i..width-1 only, so each block drops its lowest
+    entry at every step.  The starts must increase, so the blocks still going
+    are a prefix, and the first must last every step: starts[0] + width - 1 <= top.
     """
-    import numpy as np
     if top < 0:
         raise ValueError("photon number must be non-negative")
     if top > SECTOR_CAP:
         raise ValueError(f"sector M={top} exceeds cap {SECTOR_CAP}")
-    sq = np.sqrt(np.arange(1.0, top + 1))  # sqrt(j+1) for j = 0..top-1
-    tsq, rsq = bs.T * sq, bs.r * sq
-    # a+ |j, m-1-j> = sqrt(j+1) |j+1, m-1-j> and b+ |j, m-1-j> = sqrt(m-j) |j, m-j>
-    chain = [np.ones(1)]
-    for m in range(1, starts[-1] + 1):
-        v = chain[-1] / sq[m - 1]
-        col = np.zeros(m + 1)
-        col[1:] = -rsq[:m] * v
-        col[:-1] += tsq[m - 1 :: -1] * v
-        chain.append(col)
-    rows = np.zeros((len(starts), top + 1))
-    for l, n in enumerate(starts):
-        rows[l, : n + 1] = chain[n]
-    # row l of rb holds the r b+ factor r sqrt(n+i-j) of entry j on the step from
-    # U_{n+i-1} at S-i+j (S is the last step), and zero for j > n+i-1
-    S = top - starts[0]
-    padded = np.concatenate((np.zeros(S), rsq[::-1], np.zeros(top + 1)))
-    rb = padded[(top - np.asarray(starts))[:, None] + np.arange(S + top + 1)]
-    live = len(starts)
-    yield rows
-    for i in range(1, S + 1):
+    roots = [math.sqrt(j) for j in range(top + 1)]
+    pad = [0.0] * width
+    r = bs.r
+    # a+ |j-1, m-j> = sqrt(j) |j, m-j> and b+ |j, m-1-j> = sqrt(m-j) |j, m-j>: entry j
+    # of up is T sqrt(j) or r sqrt(j), entry top - m + j of down T sqrt(m-j) or r sqrt(m-j),
+    # zero past j = m
+    t_up, r_up = [bs.T * q for q in roots], [r * q for q in roots]
+    t_down, r_down = t_up[::-1] + pad, r_up[::-1] + pad
+    neg_r_up = [-x for x in r_up]
+    col, flat = [1.0, *pad[1:]], []
+    for m in range(starts[-1] + 1):
+        if m:
+            col = _ladder(col, roots[m], neg_r_up, t_down[top - m :])
+        if m in starts:
+            flat += col
+    live, stride = len(starts), width
+    yield flat, stride
+    for i in range(1, width):
         while starts[live - 1] + i > top:
             live -= 1
-        v = rows[:live] / sq[i - 1]
-        rows = np.zeros(v.shape)
-        rows[:, 1:] = tsq * v[:, :-1]
-        rows += rb[:live, S - i : S - i + top + 1] * v
-        yield rows
+        lo = width - stride  # the lowest entry a block holds
+        down = []
+        for n in starts[:live]:
+            down += r_down[top - n - i + lo : top - n - i + width]
+        flat = _ladder(flat[: live * stride], roots[i], t_up[lo:width] * live, down)
+        if diagonal:  # entry lo of a block took the last entry of the block before
+            del flat[::stride]
+            stride -= 1
+        yield flat, stride
 
 
 def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
     """The real sector unitary u[kp, k] = <kp, M-kp| U |k, M-k>, of size M+1."""
     import numpy as np
-    # column k is walked from column 0 of U_{M-k}: the last row still going after k steps
-    return np.stack([rows[-1] for rows in _walk(range(M + 1), M, bs)], axis=1)
+    # column k is walked from column 0 of U_{M-k}: the last block still going after k steps
+    return np.array([flat[-stride:] for flat, stride in _walk(range(M + 1), M, M + 1, bs)]).T
 
 
-def gate_amplitudes(sol: GateSolution, full: bool = False) -> np.ndarray:
-    """lambda_0..lambda_N: post-selected, signal level k comes out times lambda_k.
+def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
+    """lambda_0..lambda_N as a tuple of floats: post-selected, signal level k
+    comes out times lambda_k.
 
     By default the weights alpha_l gamma_l contract the rows of
     `build_coefficient_matrix` (a2 for k < N, a1 for k = N), for any N.  With
     full=True each diagonal element <k, n|U|k, n> is entry k of column k of
     the sector unitary U_{n+k}, walked from column 0 of U_n by k raising steps
-    for all the nodes at once (photon-number selection-rule check); the
-    sectors go up to N + max n <= SECTOR_CAP.
+    for all the nodes at once on entries k..N only (photon-number
+    selection-rule check); the sectors go up to N + max n <= SECTOR_CAP.
     """
-    import numpy as np
     bs = BeamSplitter(sol.T)
     w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
     if full:
         # post-selected on ancilla photon number n, the signal keeps level k:
-        # diag[l, k] = <k, n_l|U|k, n_l>, entry k of column k of U_{n_l+k}
-        walk = _walk(sol.nodes.values, sol.N + max(sol.nodes), bs)
-        diag = np.stack([rows[:, k] for k, rows in zip(range(sol.N + 1), walk)], axis=1)
-        return sum(wl * d for wl, d in zip(w, diag))
+        # <k, n_l|U|k, n_l> leads block l at step k
+        walk = _walk(sol.nodes.values, sol.N + max(sol.nodes), sol.N + 1, bs, diagonal=True)
+        return tuple(sum(wl * d for wl, d in zip(w, flat[::stride])) for flat, stride in walk)
     a1, a2 = build_coefficient_matrix(sol.nodes, bs)
-    return np.append(a2 @ w, a1[0] @ w)
+    return (*(a2 @ w).tolist(), float(a1[0] @ w))
 
 
-def post_select(signal: SignalState, lam: np.ndarray):
+def post_select(signal: SignalState, lam: tuple) -> tuple:
     """(output SignalState, acceptance probability) of the signal through a
-    gate with per-level amplitudes lam (`gate_amplitudes`)."""
-    import numpy as np
+    gate with per-level amplitudes lam (`gate_amplitudes`).  The probability
+    is the `math.fsum` of the squared real and imaginary parts of c_k lambda_k,
+    and each c_k lambda_k is divided by the square root of that probability."""
     if len(lam) != signal.N + 1:
         raise ValueError("signal dimension does not match the gate order")
-    out_raw = np.array(signal.coefficients) * lam
-    prob = float(np.sum(np.abs(out_raw) ** 2))
-    if prob <= 0.0:
-        raise ValueError("post-selection never succeeds for this input")
-    return SignalState(tuple(out_raw / math.sqrt(prob))), prob
+    out = [c * l for c, l in zip(signal.coefficients, lam)]
+    try:
+        prob = math.fsum(x * x for z in out for x in (z.real, z.imag))
+    except OverflowError:  # finite squares whose sum is past the float range
+        prob = math.inf
+    if not 0.0 < prob < math.inf:  # NaN fails this too
+        raise ValueError(f"post-selection probability must be finite and positive, got {prob}")
+    norm = math.sqrt(prob)
+    return SignalState(tuple(z / norm for z in out)), prob
 
 
 def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):

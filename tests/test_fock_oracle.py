@@ -95,6 +95,18 @@ class TestSignalState:
         with pytest.raises(ValueError):
             SignalState((1.0,))
 
+    @pytest.mark.parametrize("coefficients", [(1e200, 0.0), (complex(1e300, 1e300), 0.0)], ids=repr)
+    def test_rejects_amplitudes_past_the_float_range(self, coefficients):
+        # |c|^2 overflows: the norm is infinite, not an OverflowError
+        with pytest.raises(ValueError, match="normalized"):
+            SignalState(coefficients)
+
+    @pytest.mark.parametrize("coefficients", [("1", "0"), (1.0, "0j"), "10"], ids=repr)
+    def test_rejects_strings(self, coefficients):
+        # complex("1") parses, so a string amplitude would pass as a number
+        with pytest.raises(TypeError, match="str"):
+            SignalState(coefficients)
+
 
 class TestSectorUnitary:
     def test_vacuum(self):
@@ -204,7 +216,7 @@ class TestApplyGate:
             s = SignalState(tuple(c))
             _, p_diag, lam_diag = apply_gate(s, sol)
             _, p_full, lam_full = apply_gate(s, sol, full=True)
-            assert np.max(np.abs(lam_diag - lam_full)) <= 1e-12
+            assert np.max(np.abs(np.asarray(lam_diag) - np.asarray(lam_full))) <= 1e-12
             assert p_diag == pytest.approx(p_full, abs=1e-12)
 
     def test_full_projection_on_every_small_node_set(self, small_gates):
@@ -222,7 +234,7 @@ class TestApplyGate:
         # the column walk takes each element's divisions and products in the
         # order of the whole-sector recursion, so lambda is the same float
         for sol in [*small_gates, scan_nodes(NodeSet(GAPPED_14)).best.solution]:
-            lam, want = gate_amplitudes(sol, full=True), _lambda_reference(sol)
+            lam, want = np.asarray(gate_amplitudes(sol, full=True)), _lambda_reference(sol)
             assert lam.shape == want.shape and np.array_equal(lam, want), sol.nodes
 
     def test_full_projection_up_to_the_cap(self):
@@ -266,6 +278,18 @@ class TestApplyGate:
         sol = _solve(2)
         with pytest.raises(ValueError):
             apply_gate(SignalState((1.0, 0.0)), sol)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_amplitudes_are_a_tuple_of_floats(self, full):
+        lam = gate_amplitudes(scan_nodes(NodeSet((0, 2, 3, 5, 6, 9))).best.solution, full)
+        assert type(lam) is tuple and len(lam) == 7 and all(type(x) is float for x in lam)
+
+    # the last two overflow as squares and as a sum of two finite squares
+    @pytest.mark.parametrize("lam", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0), (1e200, 1e200), (1.5e154, 1.5e154)], ids=repr)
+    def test_post_select_rejects_a_probability_not_finite_and_positive(self, lam):
+        # one ValueError, not a RuntimeWarning and then a complaint about the norm
+        with pytest.raises(ValueError, match="finite and positive"):
+            post_select(SignalState((math.sqrt(0.5), math.sqrt(0.5))), lam)
 
 
 def test_target_and_fidelity_helpers():

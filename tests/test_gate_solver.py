@@ -803,7 +803,7 @@ class TestSuccessProbability:
         for e in report.entries:
             _, _, lam = apply_gate(signal, e.solution)
             want = np.array([1.0] * N + [-1.0])
-            assert np.max(np.abs(lam / math.sqrt(e.p) - want)) <= 1e-10, e.T
+            assert np.max(np.abs(np.asarray(lam) / math.sqrt(e.p) - want)) <= 1e-10, e.T
 
 
 class TestClosedFormRatio:

@@ -52,3 +52,19 @@ def test_identities_never_imports_numpy():
     for exact, loaded in ((True, False), (False, True)):
         call = f"from fractions import Fraction; from nssgate.determinants import NodeSet, spoly_matrix; spoly_matrix(NodeSet((0, 1, 3)), Fraction(1, 2), exact={exact})"
         _check_numpy_in_child([], loaded=loaded, then=call)
+
+
+def test_full_walk_never_imports_numpy():
+    # the ladder walk and the post-selection run on plain floats; the default
+    # amplitudes contract build_coefficient_matrix's arrays, so they are the control
+    for full, loaded in ((True, False), (False, True)):
+        call = (
+            "from nssgate.determinants import NodeSet\n"
+            "from nssgate.optimizer import scan_nodes\n"
+            "for nodes in ((0, 1), (0, 2, 3, 5, 6, 9), (1, 3, 4, 5, 7, 8, 10, 11), (0, 32)):\n"
+            "    sol = scan_nodes(NodeSet(nodes)).best.solution\n"
+            "    signal = fock_oracle.SignalState((1,) + (0,) * len(nodes))\n"
+            f"    out, p, lam = fock_oracle.apply_gate(signal, sol, full={full})\n"
+            "    assert fock_oracle.post_select(signal, lam) == (out, p)"
+        )
+        _check_numpy_in_child([], loaded=loaded, then=call)
