@@ -3,8 +3,8 @@
 Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
 and sweep tables), embed schema/version/tolerances and, for the randomized
 verify and identities, the seed, and are written atomically when --out is
-given.  Exit codes: 0 success, 1 usage/validation error, 2 no root for
-solve's node set, 3 identity/verification failure.  solve, sweep and
+given.  Exit codes: 0 success, 1 usage/validation error, 2 unused (every node
+set has a gate), 3 identity/verification failure.  solve, sweep and
 identities never import numpy; verify imports it for its seeded generator.
 """
 
@@ -115,21 +115,18 @@ def _write(args, command: str, payload: dict, gates=None) -> None:
 def cmd_solve(args) -> int:
     nodes = NodeSet.minimal(args.n) if args.nodes is None else _parse_nodes(args.nodes)
     report = scan_nodes(nodes)
-    solution, gates = None, []
-    if report.best is not None:
-        sol = report.best.solution
-        solution = {
-            "N": sol.N,
-            "nodes": list(sol.nodes),
-            "T_re": sol.T,
-            "T_im": 0.0,
-            "p": sol.p,
-            "alphas": [[float(a), 0.0] for a in sol.alphas],
-            "gammas": list(sol.gammas),
-        }
-        gates = [sol]
-    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, gates)
-    return 2 if solution is None else 0
+    sol = report.best.solution  # every node set has its gate
+    solution = {
+        "N": sol.N,
+        "nodes": list(sol.nodes),
+        "T_re": sol.T,
+        "T_im": 0.0,
+        "p": sol.p,
+        "alphas": [[float(a), 0.0] for a in sol.alphas],
+        "gammas": list(sol.gammas),
+    }
+    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, [sol])
+    return 0
 
 
 def cmd_sweep(args) -> int:

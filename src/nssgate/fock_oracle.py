@@ -39,15 +39,16 @@ SECTOR_CAP = 34
 
 @dataclass(frozen=True)
 class SignalState:
-    """(N+1)-dimensional signal state with amplitudes c_0..c_N; a string
-    amplitude raises TypeError, as the beam splitter's T does."""
+    """(N+1)-dimensional signal state with amplitudes c_0..c_N.  A str amplitude or a
+    bytes or bytearray container raises TypeError, as the beam splitter's T does; a
+    bool amplitude is an int, as in NodeSet and BeamSplitter."""
 
     coefficients: tuple
 
     def __post_init__(self):
         coeffs = tuple(self.coefficients)
-        if any(isinstance(c, str) for c in coeffs):  # complex() would parse it
-            raise TypeError("the signal takes numbers, got str")
+        if isinstance(self.coefficients, (bytes, bytearray)) or any(isinstance(c, str) for c in coeffs):
+            raise TypeError("the signal takes numbers, not str or bytes")  # complex() would parse a str
         coeffs = tuple(complex(c) for c in coeffs)
         if len(coeffs) < 2:
             raise ValueError("signal needs at least two levels")

@@ -7,8 +7,7 @@ root enumeration followed by evaluation, not gradient ascent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .determinants import NodeSet
 from .gate_solver import GateSolution, find_transmission, success_probability
@@ -25,29 +24,31 @@ class ScanEntry:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The gates of one node set; best, of largest p, exists since every set has one."""
     nodes: NodeSet
     entries: tuple  # ScanEntry, ordered by ascending T
     # (T, reason) for roots where the weights are undetermined: always empty,
     # since a2 is invertible for 0 < |T| < 1 (perfbench's trace hook reads it)
     skipped: tuple
-    best: Optional[ScanEntry] = field(default=None)
+    best: ScanEntry
 
     def to_dict(self) -> dict:
         return {
             "nodes": list(self.nodes),
             "entries": [{"T_re": e.T, "T_im": 0.0, "p": e.p} for e in self.entries],
             "skipped": [{"T_re": t, "T_im": 0.0, "reason": r} for t, r in self.skipped],
-            "best": None if self.best is None else {"T_re": self.best.T, "T_im": 0.0, "p": self.best.p},
+            "best": {"T_re": self.best.T, "T_im": 0.0, "p": self.best.p},
         }
 
 
 def scan_nodes(nodes: NodeSet) -> ScanReport:
     """Enumerate the roots of det(a) for this node set and evaluate p at each,
-    for any N; photon numbers whose T^n leave the decimal range raise ValueError."""
+    for any N; photon numbers whose T^n leave the decimal range raise ValueError.
+    best always exists: P has a root in (0, 1) unless the set is minimal (T = 1 - 2^{1/N})."""
     sols = [success_probability(nodes, t) for t in find_transmission(nodes)]
     entries = tuple(ScanEntry(T=s.T, p=s.p, solution=s) for s in sols)
     # ranked by p to 34 digits, since a float p below the float range reads 0.0
-    best = max(entries, key=lambda e: e.solution.p_decimal, default=None)  # the first on ties
+    best = max(entries, key=lambda e: e.solution.p_decimal)  # the first on ties
     return ScanReport(nodes=nodes, entries=entries, skipped=(), best=best)
 
 

@@ -17,7 +17,6 @@ from nssgate.cli import main
 from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, post_select, target_state
 from nssgate.gate_solver import GateSolution
-from nssgate.optimizer import ScanReport
 from nssgate.polynomials import spoly_scaled
 from test_gate_solver import WIDE_40
 
@@ -127,24 +126,6 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("usage: nssgate solve ")
         assert captured.err.endswith(f"\nnssgate solve: error: {message}\n")
-
-    def test_no_root_exit_2(self, capsys, monkeypatch):
-        def empty_scan(nodes):
-            return ScanReport(nodes=nodes, entries=(), skipped=(), best=None)
-
-        monkeypatch.setattr("nssgate.cli.scan_nodes", empty_scan)
-        code, out, _ = run(capsys, "solve", "--n", "2")
-        assert code == 2
-        assert json.loads(out)["solution"] is None
-
-    def test_no_root_csv_is_the_header_alone(self, capsys, monkeypatch):
-        def empty_scan(nodes):
-            return ScanReport(nodes=nodes, entries=(), skipped=(), best=None)
-
-        monkeypatch.setattr("nssgate.cli.scan_nodes", empty_scan)
-        code, out, _ = run(capsys, "solve", "--n", "2", "--format", "csv")
-        assert code == 2
-        assert out == "N,T,p\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sol.json"

@@ -107,6 +107,16 @@ class TestSignalState:
         with pytest.raises(TypeError, match="str"):
             SignalState(coefficients)
 
+    @pytest.mark.parametrize("coefficients", [b"\x01\x00", bytearray(b"\x01\x00")], ids=repr)
+    def test_rejects_bytes(self, coefficients):
+        # iterating bytes yields ints, so b"\x01\x00" would read as the state (1, 0)
+        with pytest.raises(TypeError, match="bytes"):
+            SignalState(coefficients)
+
+    def test_takes_a_bool_amplitude_as_an_int(self):
+        # as NodeSet and BeamSplitter do
+        assert SignalState((True, False)).coefficients == (1 + 0j, 0j)
+
 
 class TestSectorUnitary:
     def test_vacuum(self):

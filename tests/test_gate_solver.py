@@ -390,6 +390,32 @@ class TestSecularPolynomial:
             assert best.T == pytest.approx(-t, rel=1e-13, abs=0), m
             assert best.p == pytest.approx((t**m * (1 + t) / 2) ** 2, rel=1e-13, abs=0), m
 
+    def test_every_node_set_has_a_gate(self):
+        # with m the length of the set's initial run 0..m-1 and m < N, N! P has its
+        # lowest power at t^m with coefficient -|prod_l (m - n_l)| < 0, while
+        # N! P(1) = 2 N! > 0, so P has a root in (0, 1); the minimal set's is 1 - 2^{1/N}
+        rng = np.random.default_rng(SEED)
+        sets = [s for N in range(1, 8) for s in itertools.combinations(range(N + 6), N)]
+        for N in rng.integers(9, 120, size=200):
+            sets.append(tuple(sorted(int(v) for v in rng.choice(3 * N, size=N, replace=False))))
+        sets += [tuple(range(200)), tuple(range(500))]
+        for nodes in sets:
+            N, coeffs = len(nodes), secular_polynomial(NodeSet(nodes))
+            assert sum(coeffs) == 2 * math.factorial(N), nodes
+            m = next((i for i, n in enumerate(nodes) if n != i), N)
+            if m < N:
+                assert not any(coeffs[:m]), nodes
+                assert coeffs[m] == -abs(math.prod(m - n for n in nodes)), nodes
+
+    def test_scan_always_has_a_best_gate(self):
+        # every N = 1..5 set in 0..N+3: a non-minimal set has a root in (0, 1)
+        for N in range(1, 6):
+            for nodes in itertools.combinations(range(N + 4), N):
+                report = scan_nodes(NodeSet(nodes))
+                assert report.best is not None, nodes
+                if nodes != tuple(range(N)):
+                    assert any(0 < e.T < 1 for e in report.entries), nodes
+
     def test_equals_the_binomial_sum_reference(self):
         # every N = 1..8 set in 0..N+3, and seeded larger sets
         rng = np.random.default_rng(SEED)
