@@ -4,8 +4,8 @@ Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
 and sweep tables), embed schema/version/tolerances and, for the randomized
 verify and identities, the seed, and are written atomically when --out is
 given.  Exit codes: 0 success, 1 usage/validation error, 2 unused (every node
-set has a gate), 3 identity/verification failure.  solve, sweep and
-identities never import numpy; verify imports it for its seeded generator.
+set has a gate), 3 identity/verification failure.  verify and identities
+draw from `random.Random(seed)`.
 """
 
 from __future__ import annotations
@@ -80,12 +80,18 @@ def _emit(text: str, out_path):
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: a non-negative integer.  verify's numpy generator rejects
-    a negative seed; identities' `random.Random` would take one, but one rule for both
-    commands is the CLI's contract (test_negative_seed_is_a_usage_error)."""
+    """argparse type of --seed: a non-negative integer.  `random.Random` would take a
+    negative seed too; the rule is the CLI's own contract (test_negative_seed_is_a_usage_error)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _out(text: str) -> str:
+    """argparse type of --out: a non-empty path (os.path.realpath would read "" as the working directory)."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
 
 
 def _parse_nodes(text: str) -> NodeSet:
@@ -142,7 +148,6 @@ def _verdict(errors: list, tol: float = IDENTITY_TOL) -> tuple:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
     N = args.n
     if N < 1:
         raise ValueError("need N >= 1")
@@ -150,12 +155,12 @@ def cmd_verify(args) -> int:
         raise ValueError("need --trials >= 1")
     sol = scan_nodes(NodeSet.minimal(N)).best.solution  # the minimal set always has its gate
     lam = gate_amplitudes(sol)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     fid_errs, p_errs = [], []
     for _ in range(args.trials):
-        c = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-        c /= np.linalg.norm(c)
-        signal = SignalState(tuple(c))
+        c = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N + 1)]
+        norm = math.sqrt(math.fsum(x * x for z in c for x in (z.real, z.imag)))
+        signal = SignalState(tuple(z / norm for z in c))
         out, prob = post_select(signal, lam)
         fid_err = 1.0 - fidelity(out, target_state(signal))
         fid_errs.append(0.0 if fid_err < 0 else fid_err)  # roundoff below 0 reads 0; a NaN stays NaN
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default=None, help="output path (atomic write); default stdout")
+        p.add_argument("--out", type=_out, default=None, help="output path (atomic write); default stdout")
 
     p = sub.add_parser("solve", help="solve the gate for one node set")
     which = p.add_mutually_exclusive_group(required=True)

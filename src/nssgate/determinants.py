@@ -16,6 +16,7 @@ path.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,33 +72,41 @@ class NodeSet:
 
 
 def dense_det(matrix) -> float:
-    """Determinant of a real matrix by LU with partial pivoting (deterministic
-    smallest-index pivot).
+    """Determinant of a real matrix (a sequence of rows) by LU with partial
+    pivoting (deterministic smallest-index pivot), in plain floats.
 
     Dimension 0 returns 1 by the empty-product convention.  A complex matrix
     raises ValueError.  `exact_det` is the exact-rational path.
     """
-    import numpy as np
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.iscomplexobj(a):
-        raise ValueError("dense_det takes a real matrix")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    a = a.astype(np.float64, copy=True)
+    a = _real_rows(matrix, "dense_det")
+    n = len(a)
     det = 1.0
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))  # argmax: first (smallest) index on ties
-        if a[piv, col] == 0:
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))  # max: first (smallest) index on ties
+        if a[piv][col] == 0:
             return 0.0
         if piv != col:
-            a[[col, piv]] = a[[piv, col]]
+            a[col], a[piv] = a[piv], a[col]
             det = -det
-        det *= a[col, col]
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
+        det *= a[col][col]
+        for r in range(col + 1, n):  # row r less f times the pivot row: one division, then x - f * y each
+            f = a[r][col] / a[col][col]
+            a[r][col + 1 :] = [x - f * y for x, y in zip(a[r][col + 1 :], a[col][col + 1 :])]
     return det
+
+
+def _real_rows(matrix, who: str) -> list:
+    """The rows of a square real matrix as new lists of floats; ValueError for a
+    1-D, ragged or non-square input, or an entry of any complex type."""
+    try:
+        rows = [list(row) for row in matrix]
+    except TypeError:  # a 1-D input's rows are numbers
+        raise ValueError("matrix must be square") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    if any(isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) for row in rows for v in row):
+        raise ValueError(f"{who} takes a real matrix")
+    return [[float(v) for v in row] for row in rows]
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
@@ -152,16 +161,12 @@ def vandermonde_S(nodes: NodeSet, x):
 
 
 def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
-    """The S-basis Vandermonde matrix, rows k = 0..N-1, columns the nodes: x
+    """The S-basis Vandermonde matrix as a list of rows k = 0..N-1, columns the nodes: x
     is split into a/b once, and each element is `spoly_scaled` over b^{2k},
     a `Fraction` if exact, else a float rounded once."""
     a, b = integer_ratio(x)
     div = Fraction if exact else operator.truediv
-    rows = [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
-    if exact:
-        return rows
-    import numpy as np
-    return np.array(rows)
+    return [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
 
 
 def spoly_det(nodes: NodeSet, x) -> Fraction:

@@ -8,10 +8,8 @@ U_{M-1}, and the gate is verified end to end by projecting the ancilla back
 onto its input photon number.  A diagonal element <k, n|U|k, n> needs only
 column 0 of U_n and k raising steps, so the gate walks no other column.
 Serves as the oracle for the diagonal matrix elements and for the sign-flip
-rule c_N -> -c_N.  The walk, the full=True amplitudes and the post-selection
-run on plain floats; only `bs_sector_unitary`, which returns an array, and
-the default amplitudes, which contract `build_coefficient_matrix`, import
-numpy when called, so importing this module (as `nssgate` does) loads none.
+rule c_N -> -c_N.  The walk, the amplitudes and the post-selection run on
+plain floats.
 """
 
 from __future__ import annotations
@@ -121,22 +119,21 @@ def _walk(starts, top: int, width: int, bs: BeamSplitter, diagonal: bool = False
         yield flat, stride
 
 
-def bs_sector_unitary(M: int, bs: BeamSplitter) -> np.ndarray:
-    """The real sector unitary u[kp, k] = <kp, M-kp| U |k, M-k>, of size M+1."""
-    import numpy as np
+def bs_sector_unitary(M: int, bs: BeamSplitter) -> list:
+    """The real sector unitary as M+1 rows, u[kp][k] = <kp, M-kp| U |k, M-k>."""
     # column k is walked from column 0 of U_{M-k}: the last block still going after k steps
-    return np.array([flat[-stride:] for flat, stride in _walk(range(M + 1), M, M + 1, bs)]).T
+    return [list(row) for row in zip(*(flat[-stride:] for flat, stride in _walk(range(M + 1), M, M + 1, bs)))]
 
 
 def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
     """lambda_0..lambda_N as a tuple of floats: post-selected, signal level k
     comes out times lambda_k.
 
-    By default the weights alpha_l gamma_l contract the rows of
-    `build_coefficient_matrix` (a2 for k < N, a1 for k = N), for any N.  With
-    full=True each diagonal element <k, n|U|k, n> is entry k of column k of
-    the sector unitary U_{n+k}, walked from column 0 of U_n by k raising steps
-    for all the nodes at once on entries k..N only (photon-number
+    By default each lambda_k is the `math.fsum` of the weights alpha_l gamma_l
+    times row k of `build_coefficient_matrix` (a2 for k < N, a1 for k = N), for
+    any N.  With full=True each diagonal element <k, n|U|k, n> is entry k of
+    column k of the sector unitary U_{n+k}, walked from column 0 of U_n by k
+    raising steps for all the nodes at once on entries k..N only (photon-number
     selection-rule check); the sectors go up to N + max n <= SECTOR_CAP.
     """
     bs = BeamSplitter(sol.T)
@@ -147,7 +144,7 @@ def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
         walk = _walk(sol.nodes.values, sol.N + max(sol.nodes), sol.N + 1, bs, diagonal=True)
         return tuple(sum(wl * d for wl, d in zip(w, flat[::stride])) for flat, stride in walk)
     a1, a2 = build_coefficient_matrix(sol.nodes, bs)
-    return (*(a2 @ w).tolist(), float(a1[0] @ w))
+    return tuple(math.fsum(wl * x for wl, x in zip(w, row)) for row in (*a2, a1[0]))
 
 
 def post_select(signal: SignalState, lam: tuple) -> tuple:

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .determinants import NodeSet, exact_det
+from .determinants import NodeSet, _real_rows, exact_det
 from .polynomials import spoly_scaled
 
 __all__ = [
@@ -112,20 +112,18 @@ def _diagonal_element(k: int, n: int, m: int, q: int) -> float:
 
 
 def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
-    """The float pair (a1, a2), a1[kk, l] = <N, n_l|U|N, n_l> and a2[kk, l] =
-    <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1 (photon level k-1 of
-    the 1-based row k); the coefficient matrix is a = a1 + a2.  The Fock
-    oracle's default `apply_gate` contracts these rows with the weights: a2
-    gives the amplitudes of levels k < N, a1 that of level N.  T is split into
-    m/q once for all elements (`bs_diagonal_element`)."""
-    import numpy as np
+    """The float pair (a1, a2) as lists of rows, a1[kk][l] = <N, n_l|U|N, n_l>
+    and a2[kk][l] = <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1
+    (photon level k-1 of the 1-based row k); the coefficient matrix is
+    a = a1 + a2.  The Fock oracle's default `apply_gate` contracts these rows
+    with the weights: a2 gives the amplitudes of levels k < N, a1 that of level
+    N.  T is split into m/q once for all elements (`bs_diagonal_element`)."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
     m, q = bs.T.as_integer_ratio()
-    a1 = np.array([[_diagonal_element(N, n, m, q) for n in nodes]] * N)
-    a2 = np.array([[_diagonal_element(kk, n, m, q) for n in nodes] for kk in range(N)])
-    return a1, a2
+    top = [_diagonal_element(N, n, m, q) for n in nodes]
+    return [top[:] for _ in range(N)], [[_diagonal_element(kk, n, m, q) for n in nodes] for kk in range(N)]
 
 
 def optimal_transmission(N: int) -> float:
@@ -282,25 +280,19 @@ def find_transmission(nodes: NodeSet) -> list:
     return _real_roots(secular_polynomial(nodes))
 
 
-def cofactors(matrix, row: int):
+def cofactors(matrix, row: int) -> list:
     """Cofactor row A_{row, l} (row is 0-based, 0..N-1): signed minors of the
     float matrix, each determinant taken in exact rational arithmetic (the
     empty minor of a 1x1 matrix gives 1)."""
-    import numpy as np
-    a = np.asarray(matrix)
-    N = a.shape[0]
-    if a.shape != (N, N):
-        raise ValueError("matrix must be square")
-    if np.iscomplexobj(a):
-        raise ValueError("cofactors takes a real matrix")
+    rows = _real_rows(matrix, "cofactors")
+    N = len(rows)
     if not 0 <= row < N:
         raise ValueError("row out of range")
-    rows = np.asarray(a, dtype=float).tolist()
     out = []
     for l in range(N):
         minor = [[rows[i][j] for j in range(N) if j != l] for i in range(N) if i != row]
         out.append((-1) ** (row + l) * float(exact_det(minor)))
-    return np.array(out)
+    return out
 
 
 def _weights(nodes: NodeSet, t) -> tuple:

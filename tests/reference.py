@@ -17,7 +17,9 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
   as a polynomial in n, and the weight sequences s_l in both forms;
 - every Fock sector unitary U_0..U_M built whole, one sector from the last,
-  which the package's column walk cuts to the columns a diagonal needs.
+  which the package's column walk cuts to the columns a diagonal needs;
+- the LU determinant on numpy arrays, whose pivots and outer-product updates
+  the package's plain-float `dense_det` takes op for op.
 """
 
 import math
@@ -269,3 +271,21 @@ def sectors_reference(top: int, bs: BeamSplitter) -> list:
         u[:-1, 1:] += rsq[M - 1 :: -1, None] * prev[:, 1:]
         us.append(u)
     return us
+
+
+def lu_det_reference(matrix) -> float:
+    """Determinant of a real square array by LU with the first largest pivot
+    (`np.argmax`), each step one `np.outer` update of the rows below."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    det = 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            det = -det
+        det *= a[col, col]
+        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
+    return float(det)

@@ -113,7 +113,7 @@ def test_criterion_4_matrix_element_oracle():
         t = Fraction(int(rng.choice([-1, 1]) * rng.integers(30, 990)), 1000)
         bs = BeamSplitter(float(t))
         for M in range(0, 21):
-            sector = bs_sector_unitary(M, bs)
+            sector = np.asarray(bs_sector_unitary(M, bs))
             worst_u = max(worst_u, float(np.max(np.abs(sector.T.conj() @ sector - np.eye(M + 1)))))
             for k in range(M + 1):
                 n = M - k
@@ -164,7 +164,7 @@ def test_criterion_7_cofactor_closed_forms():
     worst = 0.0
     for N in range(1, 11):
         for t in (optimal_transmission(N), -0.55, 0.4):
-            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
             cof = cofactors(a1 + a2, N - 1)
             for l in range(N):
                 want = cofactor_closed_form(N, l, t)
@@ -182,7 +182,7 @@ def test_criterion_7_sign_positivity():
     for N in range(1, 13):
         t = optimal_transmission(N)
         s_n = (-1) ** (N * (N - 1) // 2 + N + 1)
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
         exact = cofactors(a1 + a2, N - 1)
         for l in range(N):
             sign = s_n * (-1) ** (N - l - 1)
@@ -198,7 +198,7 @@ def test_criterion_7_numerator_denominator():
     worst_n = worst_d = 0.0
     for N in range(1, 11):
         t = optimal_transmission(N)
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
         cof = np.asarray(cofactors(a1 + a2, N - 1))
         num = float(cof @ a2[N - 1])
         den = float(np.sum(np.abs(cof))) ** 2

@@ -221,6 +221,22 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "--n", "3"), ("sweep", "--n-min", "1", "--n-max", "2"), ("verify", "--n", "2"), ("identities",)],
+        ids=["solve", "sweep", "verify", "identities"],
+    )
+    def test_empty_out_is_a_usage_error(self, capsys, argv):
+        # os.path.realpath("") is the working directory, so an empty path would fail
+        # as "cannot write to stdout: Is a directory", after the whole computation
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", ""])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: nssgate {argv[0]} ")
+        assert captured.err.endswith(f"\nnssgate {argv[0]}: error: argument --out: expected a path, got ''\n")
+
     def test_n15_meets_the_closed_forms(self, capsys):
         code, out, err = run(capsys, "solve", "--n", "15")
         assert code == 0 and err == ""
@@ -383,6 +399,25 @@ class TestVerify:
         assert code == 3
         doc = json.loads(out)
         assert doc["pass"] is False and doc["tolerances"]["identity_tol"] == 1e-9
+
+    @staticmethod
+    def _draws(capsys, monkeypatch, seed) -> tuple:
+        """(stdout, the signal of every post_select call) of verify --n 4 --trials 5 at seed."""
+        signals = []
+        monkeypatch.setattr(nssgate.cli, "post_select", lambda signal, lam: signals.append(signal) or post_select(signal, lam))
+        code, out, _ = run(capsys, "verify", "--n", "4", "--trials", "5", "--seed", str(seed))
+        assert code == 0
+        return out, signals
+
+    def test_seed_drives_the_draws(self, capsys, monkeypatch):
+        # the errors are roundoff at any draw, so only the recorded signals show what the seed picks
+        out, signals = self._draws(capsys, monkeypatch, 0)
+        assert (out, signals) == self._draws(capsys, monkeypatch, 0)
+        assert signals != self._draws(capsys, monkeypatch, 1)[1]
+        assert len(signals) == 5 and len(set(signals)) == 5
+        for signal in signals:
+            assert len(signal.coefficients) == 5
+            assert math.fsum(abs(c) ** 2 for c in signal.coefficients) == pytest.approx(1.0, rel=0, abs=1e-15)
 
 
 class TestIdentities:

@@ -16,6 +16,7 @@ from nssgate.determinants import (
     vandermonde_S,
     vandermonde_power,
 )
+from reference import lu_det_reference
 
 SEED = 977
 
@@ -78,6 +79,20 @@ class TestDenseDet:
         u = np.triu(np.full((n, n), 0.5)) + np.diag(np.linspace(0.5, 1.5, n))
         want = (-1) ** (n * (n - 1) // 2) * float(np.prod(np.diag(u)))
         assert dense_det(u[::-1]) == pytest.approx(want, rel=1e-12)
+
+    def test_equals_the_numpy_lu(self):
+        # the same pivots, divisions, products and differences, so the same bits:
+        # random rows, a zero column, a repeated row, and small integers whose
+        # pivot candidates tie
+        rng = np.random.default_rng(SEED)
+        for i in range(520):
+            n = i % 13
+            m = rng.normal(size=(n, n)) if i % 4 < 3 else rng.integers(-3, 4, size=(n, n)).astype(float)
+            if i % 4 == 1 and n:
+                m[:, rng.integers(n)] = 0.0
+            if i % 4 == 2 and n > 1:
+                m[rng.integers(n)] = m[rng.integers(n)]
+            assert dense_det(m) == lu_det_reference(m), m
 
     def test_matches_exact_on_random_integer_matrices(self):
         rng = np.random.default_rng(SEED)

@@ -120,13 +120,13 @@ class TestSignalState:
 
 class TestSectorUnitary:
     def test_vacuum(self):
-        u = bs_sector_unitary(0, BeamSplitter(0.5))
+        u = np.asarray(bs_sector_unitary(0, BeamSplitter(0.5)))
         assert u.shape == (1, 1)
         assert u[0, 0] == pytest.approx(1.0)
 
     def test_single_photon(self):
         T = 0.6
-        u = bs_sector_unitary(1, BeamSplitter(T))
+        u = np.asarray(bs_sector_unitary(1, BeamSplitter(T)))
         r = math.sqrt(1 - T * T)
         assert np.allclose(u, [[T, r], [-r, T]])
         # diagonal: <1,0|U|1,0> = T and <0,1|U|0,1> = T
@@ -139,7 +139,7 @@ class TestSectorUnitary:
         # M <= 34), so the bound is 1e-12 of the unit norm
         bs = BeamSplitter(1 - math.sqrt(2))
         for M in range(SECTOR_CAP + 1):
-            u = bs_sector_unitary(M, bs)
+            u = np.asarray(bs_sector_unitary(M, bs))
             for k in range(M + 1):
                 assert u[k, k] == pytest.approx(bs_diagonal_element(k, M - k, bs), rel=0, abs=1e-12), (k, M - k)
 
@@ -150,7 +150,7 @@ class TestSectorUnitary:
             if abs(T) < 1e-3:
                 T = 0.5
             for M in (1, 5, 12, 24):
-                u = bs_sector_unitary(M, BeamSplitter(T))
+                u = np.asarray(bs_sector_unitary(M, BeamSplitter(T)))
                 assert np.max(np.abs(u.T.conj() @ u - np.eye(M + 1))) <= 1e-10
 
     def test_matches_factorial_expansion(self):
@@ -167,7 +167,7 @@ class TestSectorUnitary:
         for T in np.linspace(-0.99, 0.99, 41):
             bs = BeamSplitter(float(T))
             for M in range(SECTOR_CAP + 1):
-                u = bs_sector_unitary(M, bs)
+                u = np.asarray(bs_sector_unitary(M, bs))
                 assert np.max(np.abs(u.T @ u - np.eye(M + 1))) <= 1e-11, (T, M)
 
     def test_equals_the_whole_sectors(self):
@@ -178,7 +178,7 @@ class TestSectorUnitary:
             bs = BeamSplitter(T)
             want = sectors_reference(SECTOR_CAP, bs)
             for M in range(SECTOR_CAP + 1):
-                u = bs_sector_unitary(M, bs)
+                u = np.asarray(bs_sector_unitary(M, bs))
                 assert u.shape == want[M].shape and np.array_equal(u, want[M]), (T, M)
 
     def test_rejects_beyond_cap(self):

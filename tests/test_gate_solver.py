@@ -196,7 +196,7 @@ class TestCoefficientMatrix:
     def test_split_parts(self):
         nodes = NodeSet.minimal(4)
         bs = BeamSplitter(-0.3)
-        a1, a2 = build_coefficient_matrix(nodes, bs)
+        a1, a2 = np.asarray(build_coefficient_matrix(nodes, bs))
         # a1 columns constant in k
         assert np.allclose(a1, a1[0])
         for kk in range(4):
@@ -209,11 +209,11 @@ class TestCoefficientMatrix:
             build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(0.0))
 
     def test_n1_singular_at_minus_one(self):
-        a1, a2 = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0)))
         assert abs(dense_det(a1 + a2)) <= 1e-12
 
     def test_n2_singular_at_silver_point(self):
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2)))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(1 - math.sqrt(2))))
         assert abs(dense_det(a1 + a2)) <= 1e-10
 
     def test_exact_build_matches_double(self):
@@ -226,7 +226,7 @@ class TestCoefficientMatrix:
         for nodes, ts in cases:
             for T in ts:
                 a1, a2 = coefficient_matrix_exact(nodes, T)
-                f1, f2 = build_coefficient_matrix(nodes, BeamSplitter(T))
+                f1, f2 = np.asarray(build_coefficient_matrix(nodes, BeamSplitter(T)))
                 assert f1.tolist() == [[float(v) for v in row] for row in a1], (nodes, T)
                 assert f2.tolist() == [[float(v) for v in row] for row in a2], (nodes, T)
 
@@ -314,7 +314,7 @@ class TestFindTransmission:
         roots = find_transmission(NodeSet.minimal(5))
         best = min(roots, key=lambda r: abs(r - optimal_transmission(5)))
         assert best == pytest.approx(1 - 2 ** 0.2, abs=1e-10)
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(5), BeamSplitter(best))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(5), BeamSplitter(best)))
         assert abs(dense_det(a1 + a2)) <= 1e-10
 
     def test_roots_sorted_and_validated(self):
@@ -323,7 +323,7 @@ class TestFindTransmission:
             assert roots == sorted(roots)
             N = len(nodes)
             for t in roots:
-                a1, a2 = build_coefficient_matrix(nodes, BeamSplitter(t))
+                a1, a2 = np.asarray(build_coefficient_matrix(nodes, BeamSplitter(t)))
                 scale = abs(t * t - 1) ** (N * (N - 1) / 2) if N > 1 else 1.0
                 assert abs(dense_det(a1 + a2)) <= DET_TOL * max(scale, 1e-300)
 
@@ -607,11 +607,11 @@ class TestCertifiedRefinement:
 
 class TestCofactors:
     def test_n1_convention(self):
-        a1, a2 = build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0))
-        assert cofactors(a1 + a2, 0).tolist() == [1.0]
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet((0,)), BeamSplitter(-1.0)))
+        assert np.asarray(cofactors(a1 + a2, 0)).tolist() == [1.0]
 
     def test_n2_minors(self):
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(-0.5))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(-0.5)))
         a = a1 + a2
         got = cofactors(a, 1)
         assert got[0] == pytest.approx(-a[0, 1], rel=1e-12)
@@ -637,7 +637,7 @@ class TestCofactors:
     def test_laplace_on_gate_matrix(self):
         N = 4
         t = optimal_transmission(N)
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
         a = a1 + a2
         det = dense_det(a)
         cof = cofactors(a, N - 1)
@@ -649,7 +649,7 @@ class TestCofactors:
     def test_closed_form_n4_at_optimum(self):
         N = 4
         t = optimal_transmission(N)
-        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
         cof = cofactors(a1 + a2, N - 1)
         for l in range(N):
             assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
@@ -658,7 +658,7 @@ class TestCofactors:
         # away from the optimum the second (bracket) term contributes
         N = 5
         for t in (-0.6, 0.35):
-            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
             cof = cofactors(a1 + a2, N - 1)
             for l in range(N):
                 assert cof[l] == pytest.approx(cofactor_closed_form(N, l, t), rel=1e-8)
@@ -855,7 +855,7 @@ class TestClosedFormRatio:
         # denominator agrees to machine precision
         for N in range(1, 9):
             t = optimal_transmission(N)
-            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
             cof = cofactors(a1 + a2, N - 1)
             num = float(np.asarray(cof) @ a2[N - 1])
             den = float(np.sum(np.abs(cof))) ** 2
