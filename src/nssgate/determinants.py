@@ -7,9 +7,9 @@ where every division is exact.  `spoly_det` is the exact determinant of the
 S-basis matrix: row k shares the denominator b^{2k} of x = a/b, so Bareiss
 runs on the integer rows `spoly_scaled` gives and one division by
 b^{N(N-1)} replaces a gcd-reduced `Fraction` per element.  Then the gapped
-Vandermondians that the `identities` suites check, and `dense_det`, a float
-LU determinant that no module calls: the tests use it as a reference, and it
-stays in the package only because perfbench/run.py traces it by its module
+Vandermondians that the `identities` suites check, and `dense_det`, the
+`exact_det` of a float matrix rounded once to a float, which no module calls:
+it stays in the package only because perfbench/run.py traces it by its module
 path.
 """
 
@@ -72,32 +72,20 @@ class NodeSet:
 
 
 def dense_det(matrix) -> float:
-    """Determinant of a real matrix (a sequence of rows) by LU with partial
-    pivoting (deterministic smallest-index pivot), in plain floats.
+    """Determinant of a real matrix (a sequence of rows): `exact_det` of its
+    entries as floats, rounded once to a float.
 
-    Dimension 0 returns 1 by the empty-product convention.  A complex matrix
-    raises ValueError.  `exact_det` is the exact-rational path.
+    Dimension 0 returns 1 by the empty-product convention.  A complex, NaN or
+    infinite entry raises ValueError, and a determinant past the float range
+    OverflowError.
     """
-    a = _real_rows(matrix, "dense_det")
-    n = len(a)
-    det = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))  # max: first (smallest) index on ties
-        if a[piv][col] == 0:
-            return 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):  # row r less f times the pivot row: one division, then x - f * y each
-            f = a[r][col] / a[col][col]
-            a[r][col + 1 :] = [x - f * y for x, y in zip(a[r][col + 1 :], a[col][col + 1 :])]
-    return det
+    return float(exact_det(_real_rows(matrix, "dense_det")))
 
 
 def _real_rows(matrix, who: str) -> list:
     """The rows of a square real matrix as new lists of floats; ValueError for a
-    1-D, ragged or non-square input, or an entry of any complex type."""
+    1-D, ragged or non-square input, or an entry of any complex type, NaN or
+    infinite."""
     try:
         rows = [list(row) for row in matrix]
     except TypeError:  # a 1-D input's rows are numbers
@@ -106,13 +94,20 @@ def _real_rows(matrix, who: str) -> list:
         raise ValueError("matrix must be square")
     if any(isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) for row in rows for v in row):
         raise ValueError(f"{who} takes a real matrix")
-    return [[float(v) for v in row] for row in rows]
+    rows = [[float(v) for v in row] for row in rows]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("matrix entries must be finite")
+    return rows
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant: Bareiss on the rows scaled once to integers (exact
-    `//`, no gcd), over the product of the row scales.  0x0 gives Fraction(1)."""
-    m = [[integer_ratio(v) for v in row] for row in rows]
+    `//`, no gcd), over the product of the row scales.  0x0 gives Fraction(1).
+    A NaN or infinite entry raises ValueError."""
+    try:
+        m = [[integer_ratio(v) for v in row] for row in rows]
+    except (OverflowError, ValueError):  # the integer ratio of an infinity or a NaN
+        raise ValueError("matrix entries must be finite") from None
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")

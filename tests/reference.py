@@ -18,15 +18,16 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   as a polynomial in n, and the weight sequences s_l in both forms;
 - every Fock sector unitary U_0..U_M built whole, one sector from the last,
   which the package's column walk cuts to the columns a diagonal needs;
-- the LU determinant on numpy arrays, whose pivots and outer-product updates
-  the package's plain-float `dense_det` takes op for op.
+- three helpers on lists of rows and on draws of `random.Random`: the
+  element-wise sum of two matrices, the Gram defect max|U^T U - 1| and a
+  normalized random signal.
+
+All of it runs on the standard library: ints, `Fraction` and plain floats.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SECTOR_CAP
@@ -249,43 +250,48 @@ def denominator_closed_form(N: int, T: float) -> float:
 
 
 def sectors_reference(top: int, bs: BeamSplitter) -> list:
-    """[U_0, ..., U_top]: column k of U_M is (T a+ + r b+) on column k-1 of U_{M-1}
-    over sqrt(k), and column 0 is (-r a+ + T b+) on column 0 over sqrt(M)."""
+    """[U_0, ..., U_top], each a list of rows u[kp][k]: column k of U_M is
+    (T a+ + r b+) on column k-1 of U_{M-1} over sqrt(k), and column 0 is
+    (-r a+ + T b+) on column 0 over sqrt(M)."""
     if top < 0:
         raise ValueError("photon number must be non-negative")
     if top > SECTOR_CAP:
         raise ValueError(f"sector M={top} exceeds cap {SECTOR_CAP}")
-    sq = np.sqrt(np.arange(1.0, top + 1))  # sqrt(j+1) for j = 0..top-1
-    tsq, rsq = bs.T * sq, bs.r * sq
-    us = [np.ones((1, 1))]
+    sq = [math.sqrt(j) for j in range(1, top + 1)]  # sqrt(j+1) for j = 0..top-1
+    tsq, rsq = [bs.T * s for s in sq], [bs.r * s for s in sq]
+    us = [[[1.0]]]
     for M in range(1, top + 1):
-        # the column of U_{M-1} each column of U_M starts from, over sqrt(M), sqrt(1), ..., sqrt(M)
-        prev = np.empty((M, M + 1))
-        prev[:, 0] = us[-1][:, 0] / sq[M - 1]
-        prev[:, 1:] = us[-1] / sq[:M]
-        u = np.zeros((M + 1, M + 1))
-        # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j> and b+ |j, M-1-j> = sqrt(M-j) |j, M-j>
-        u[1:, 0] = -rsq[:M] * prev[:, 0]  # column 0: (-r a+ + T b+)
-        u[:-1, 0] += tsq[M - 1 :: -1] * prev[:, 0]
-        u[1:, 1:] = tsq[:M, None] * prev[:, 1:]  # columns 1..M: (T a+ + r b+)
-        u[:-1, 1:] += rsq[M - 1 :: -1, None] * prev[:, 1:]
+        # row j of the columns of U_{M-1} each column of U_M starts from, over sqrt(M), sqrt(1), ..., sqrt(M)
+        prev = [[row[0] / sq[M - 1], *(x / s for x, s in zip(row, sq))] for row in us[-1]]
+        u = [[0.0] * (M + 1) for _ in range(M + 1)]
+        # a+ |j, M-1-j> = sqrt(j+1) |j+1, M-1-j> and b+ |j, M-1-j> = sqrt(M-j) |j, M-j>:
+        # row j + 1 takes the a+ term, then row j adds the b+ term
+        for j, row in enumerate(prev):
+            u[j + 1][0] = -rsq[j] * row[0]  # column 0: (-r a+ + T b+)
+            u[j][0] += tsq[M - 1 - j] * row[0]
+            for k in range(1, M + 1):  # columns 1..M: (T a+ + r b+)
+                u[j + 1][k] = tsq[j] * row[k]
+                u[j][k] += rsq[M - 1 - j] * row[k]
         us.append(u)
     return us
 
 
-def lu_det_reference(matrix) -> float:
-    """Determinant of a real square array by LU with the first largest pivot
-    (`np.argmax`), each step one `np.outer` update of the rows below."""
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    det = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
-    return float(det)
+def matrix_sum(a: list, b: list) -> list:
+    """The element-wise sum of two matrices given as lists of rows."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def gram_defect(u: list) -> float:
+    """max |U^T U - 1| over the entries of a real square matrix (a list of
+    rows), each entry of U^T U one `math.fsum`."""
+    cols = list(zip(*u))
+    gram = ((math.fsum(x * y for x, y in zip(a, b)), i == j) for i, a in enumerate(cols) for j, b in enumerate(cols))
+    return max(abs(g - one) for g, one in gram)
+
+
+def random_signal(rng, levels: int) -> tuple:
+    """Amplitudes complex(gauss, gauss) drawn from the `random.Random` rng,
+    over the square root of the `math.fsum` of their squared parts."""
+    c = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(levels)]
+    norm = math.sqrt(math.fsum(x * x for z in c for x in (z.real, z.imag)))
+    return tuple(z / norm for z in c)

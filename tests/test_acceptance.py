@@ -24,7 +24,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nssgate.cli import _suite_a, _suite_b, _suite_c, main
@@ -43,8 +42,11 @@ from reference import (
     cofactor_closed_form,
     denominator_closed_form,
     det_closed_form,
+    gram_defect,
     jacobi,
+    matrix_sum,
     numerator_closed_form,
+    random_signal,
 )
 
 SEED = 1905
@@ -92,11 +94,11 @@ def test_criterion_2_n2_landmark(capsys):
 
 
 def test_criterion_3_determinant_closed_form():
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     worst = 0.0
     for N in range(1, 11):
         for _ in range(50):
-            t = Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 950)), 1000)
+            t = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 950), 1000)
             a1, a2 = coefficient_matrix_exact(NodeSet.minimal(N), t)
             det = float(exact_det([[a1[k][l] + a2[k][l] for l in range(N)] for k in range(N)]))
             want = det_closed_form(N, float(t))
@@ -107,18 +109,18 @@ def test_criterion_3_determinant_closed_form():
 
 
 def test_criterion_4_matrix_element_oracle():
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     worst_el = worst_u = 0.0
     for _ in range(20):
-        t = Fraction(int(rng.choice([-1, 1]) * rng.integers(30, 990)), 1000)
+        t = Fraction(rng.choice([-1, 1]) * rng.randrange(30, 990), 1000)
         bs = BeamSplitter(float(t))
         for M in range(0, 21):
-            sector = np.asarray(bs_sector_unitary(M, bs))
-            worst_u = max(worst_u, float(np.max(np.abs(sector.T.conj() @ sector - np.eye(M + 1)))))
+            sector = bs_sector_unitary(M, bs)
+            worst_u = max(worst_u, gram_defect(sector))
             for k in range(M + 1):
                 n = M - k
                 jac = float(t) ** (n - k) * jacobi(k, n - k, float(2 * t * t - 1))
-                worst_el = max(worst_el, abs(jac - float(sector[k, k])))
+                worst_el = max(worst_el, abs(jac - sector[k][k]))
     ok = worst_el <= 1e-10 and worst_u <= 1e-10
     _report(4, "Jacobi-route elements vs sector oracle, k+n<=20", ok,
             f"(worst element={worst_el:.2e}, worst unitarity={worst_u:.2e})")
@@ -128,14 +130,12 @@ def test_criterion_4_matrix_element_oracle():
 
 def test_criterion_5_end_to_end_gate():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     worst_fid = worst_p = 0.0
     for N in range(1, 7):
         _, sol = _solve_pipeline(N)
         for _ in range(100):
-            c = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-            c /= np.linalg.norm(c)
-            signal = SignalState(tuple(c))
+            signal = SignalState(random_signal(rng, N + 1))
             out, prob, _ = apply_gate(signal, sol)
             worst_fid = max(worst_fid, 1.0 - fidelity(out, target_state(signal)))
             worst_p = max(worst_p, abs(prob - 1.0 / N**2))
@@ -164,8 +164,8 @@ def test_criterion_7_cofactor_closed_forms():
     worst = 0.0
     for N in range(1, 11):
         for t in (optimal_transmission(N), -0.55, 0.4):
-            a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
-            cof = cofactors(a1 + a2, N - 1)
+            a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+            cof = cofactors(matrix_sum(a1, a2), N - 1)
             for l in range(N):
                 want = cofactor_closed_form(N, l, t)
                 worst = max(worst, abs(cof[l] - want) / max(abs(want), 1e-300))
@@ -182,8 +182,8 @@ def test_criterion_7_sign_positivity():
     for N in range(1, 13):
         t = optimal_transmission(N)
         s_n = (-1) ** (N * (N - 1) // 2 + N + 1)
-        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
-        exact = cofactors(a1 + a2, N - 1)
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        exact = cofactors(matrix_sum(a1, a2), N - 1)
         for l in range(N):
             sign = s_n * (-1) ** (N - l - 1)
             if not (sign * cofactor_closed_form(N, l, t) > 0 and sign * exact[l] > 0):
@@ -198,10 +198,10 @@ def test_criterion_7_numerator_denominator():
     worst_n = worst_d = 0.0
     for N in range(1, 11):
         t = optimal_transmission(N)
-        a1, a2 = np.asarray(build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t)))
-        cof = np.asarray(cofactors(a1 + a2, N - 1))
-        num = float(cof @ a2[N - 1])
-        den = float(np.sum(np.abs(cof))) ** 2
+        a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
+        cof = cofactors(matrix_sum(a1, a2), N - 1)
+        num = math.fsum(c * x for c, x in zip(cof, a2[N - 1]))
+        den = sum(map(abs, cof)) ** 2
         want_n = numerator_closed_form(N, t)
         want_d = denominator_closed_form(N, t)
         # the closed form is the a1 contraction; det(a) = 0 at the root makes
@@ -223,8 +223,8 @@ def test_criterion_8_row_invariance():
         t = optimal_transmission(N)
         sol = success_probability(NodeSet.minimal(N), t)
         a1, a2 = build_coefficient_matrix(NodeSet.minimal(N), BeamSplitter(t))
-        w = np.array(sol.alphas) * np.array(sol.gammas)
-        worst = max(worst, max(abs(float(a2[k] @ w) ** 2 - sol.p) for k in range(N)))
+        w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
+        worst = max(worst, max(abs(math.fsum(x * y for x, y in zip(a2[k], w)) ** 2 - sol.p) for k in range(N)))
     ok = worst <= 1e-9
     _report(8, "p independent of row choice, N<=10", ok, f"(worst |(a2[k].w)^2 - p|={worst:.2e})")
     assert ok

@@ -3,13 +3,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import nssgate
@@ -18,6 +18,7 @@ from nssgate.determinants import NodeSet
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, post_select, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.polynomials import spoly_scaled
+from reference import random_signal
 from test_gate_solver import WIDE_40
 
 SEARCH_SETTINGS = ("bisect_tol", "identity_tol")
@@ -70,10 +71,9 @@ class TestSolve:
             gammas=tuple(s["gammas"]),
             p=s["p"],
         )
-        rng = np.random.default_rng(9)
+        rng = random.Random(9)
         for _ in range(3):
-            c = rng.normal(size=10) + 1j * rng.normal(size=10)
-            signal = SignalState(tuple(c / np.linalg.norm(c)))
+            signal = SignalState(random_signal(rng, 10))
             out_state, prob, _ = apply_gate(signal, sol, full=True)
             assert 1.0 - fidelity(out_state, target_state(signal)) <= 1e-8
             assert prob == pytest.approx(s["p"], rel=1e-8)

@@ -7,6 +7,7 @@ import pytest
 
 import nssgate
 
+TESTS = Path(__file__).parent
 MODULES = ["nssgate"] + [f"nssgate.{m}" for m in ("cli", "determinants", "fock_oracle", "gate_solver", "optimizer", "polynomials")]
 
 
@@ -44,11 +45,10 @@ NO_NUMPY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("calls", NO_NUMPY_CALLS.values(), ids=NO_NUMPY_CALLS)
-def test_runs_without_numpy(calls):
-    # the package has no runtime dependency: a fresh interpreter in which
-    # numpy cannot be imported (None in sys.modules) imports the package from
-    # the directory this process imported it from and runs the calls
+def _run_without_numpy(body: str) -> subprocess.CompletedProcess:
+    """Run body in a fresh interpreter in which numpy cannot be imported (None
+    in sys.modules), with the directory this process imported the package
+    from and the tests' directory on its path."""
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -58,15 +58,32 @@ def test_runs_without_numpy(calls):
         "    pass\n"
         "else:\n"
         "    sys.exit('numpy imported')\n"
+        f"{body}\n"
+    )
+    dirs = [str(Path(nssgate.__file__).parents[1]), str(TESTS), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, dirs))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("calls", NO_NUMPY_CALLS.values(), ids=NO_NUMPY_CALLS)
+def test_runs_without_numpy(calls):
+    # the package has no runtime dependency: with numpy blocked, it imports and runs the calls
+    child = _run_without_numpy(
         "from fractions import Fraction\n"
         "from nssgate import cli, determinants, fock_oracle, gate_solver\n"
         "from nssgate.determinants import NodeSet\n"
         "from nssgate.gate_solver import BeamSplitter\n"
         "from nssgate.optimizer import scan_nodes\n"
-        f"{calls}\n"
+        f"{calls}"
     )
-    path = os.pathsep.join(filter(None, [str(Path(nssgate.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    assert child.returncode == 0, child.stderr
+
+
+def test_test_modules_import_without_numpy():
+    # the tests run on the standard library: only the checks on numpy-typed
+    # inputs import numpy, inside the test through pytest.importorskip, so
+    # every test module loads with numpy blocked
+    modules = sorted(path.stem for path in TESTS.glob("*.py"))
+    assert "test_package" in modules and "reference" in modules
+    child = _run_without_numpy(f"import importlib\nfor name in {modules!r}:\n    importlib.import_module(name)")
     assert child.returncode == 0, child.stderr
