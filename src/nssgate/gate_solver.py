@@ -241,13 +241,16 @@ def _real_roots(coeffs: list) -> list:
     the sign of p just inside the left end; otherwise it is halved, its
     midpoint kept if q vanishes there, until it is narrower than BISECT_TOL
     in absolute width, where it is kept if v is odd (p changes sign across
-    it; an even-multiplicity root ends here).  The float image f of p, each
-    coefficient over one power of two, is taken once: |f| <= d + 1 and
-    |f'| <= d^2 on [-1, 1], so Newton's method on it overflows at no degree.
+    it; an even-multiplicity root ends here).  The float image f of p is p
+    times one power of two, taken once, with every |f_i| < 2^e, e = 1022 - 2
+    bitlen(d + 1): |f'| <= d (d + 1) 2^e < 2^1022 on [-1, 1], so Newton's
+    method overflows at no degree, and the low f_i stay out of the subnormal
+    range, where from minimal N of about 1030 they would lose the bits that
+    the certificate needs.
     """
     p = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
-    scale = 1 << max(c.bit_length() for c in p)
-    f = [c / scale for c in p]
+    sh = max(c.bit_length() for c in p) - 1022 + 2 * len(p).bit_length()
+    f = [c / (1 << sh) if sh > 0 else float(c << -sh) for c in p]
     roots = [t for t in (-1.0, 1.0) if _exact_sign(p, t) == 0]
     flip = _shift([-b if i % 2 else b for i, b in enumerate(p)])  # p~(1 + y), p~(y) = p(-y)
     stack = [([(-b if i % 2 else b) << i for i, b in enumerate(flip)], 0, 0)]  # (q, k, c): x in [c, c+1] / 2^k

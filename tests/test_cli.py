@@ -15,8 +15,9 @@ import pytest
 import nssgate
 from nssgate.cli import main
 from nssgate.determinants import NodeSet
-from nssgate.fock_oracle import SignalState, apply_gate, fidelity, post_select, target_state
+from nssgate.fock_oracle import SignalState, apply_gate, fidelity, gate_amplitudes, post_select, target_state
 from nssgate.gate_solver import GateSolution
+from nssgate.optimizer import scan_nodes
 from nssgate.polynomials import spoly_scaled
 from reference import random_signal
 from test_gate_solver import WIDE_40
@@ -40,7 +41,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         assert "version" in doc and "tolerances" in doc
         assert "seed" not in doc  # solve draws no random numbers
         sol = doc["solution"]
@@ -277,12 +278,12 @@ def _key_counts(obj, counts):
     return counts
 
 
-@pytest.mark.parametrize("argv", [("solve", "--n", "3"), ("sweep", "--n-min", "1", "--n-max", "3")])
+@pytest.mark.parametrize("argv", [("solve", "--n", "3"), ("sweep", "--n-min", "1", "--n-max", "3"), ("verify", "--n", "3")])
 def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 6
+    assert doc["schema"] == 7
     assert "seed" not in doc
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
@@ -322,102 +323,101 @@ class TestSweep:
         assert all(_meets_closed_forms(r["N"], r["T_re"], r["p"]) for r in rows)
 
 
-def _post_select_times(factor):
-    """post_select with its probability scaled by factor."""
-
-    def scaled(*args):
-        out, prob = post_select(*args)
-        return out, prob * factor
-
-    return scaled
+def _verify_on(capsys, monkeypatch, N, change) -> tuple:
+    """(exit code, report) of verify --n N with the gate's lambda passed through change."""
+    monkeypatch.setattr(nssgate.cli, "gate_amplitudes", lambda sol: change(gate_amplitudes(sol)))
+    code, out, _ = run(capsys, "verify", "--n", str(N))
+    return code, json.loads(out)
 
 
 class TestVerify:
-    def test_n2_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "2", "--trials", "100", "--seed", "7")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["pass"] is True
-        assert doc["max_fidelity_error"] <= 1e-8
-        assert doc["max_prob_error"] <= 1e-8
+    @pytest.mark.parametrize("N", [1, 2, 6, 14, 40, 100, 136])
+    def test_reports_the_worst_case_of_lambda(self, capsys, monkeypatch, N):
+        # the worst basis state's relative p error, and Kantorovich's bound on the
+        # fidelity over the least and greatest of the signed amplitudes mu
+        seen = []
+        code, doc = _verify_on(capsys, monkeypatch, N, lambda lam: seen.append(lam) or lam)
+        (lam,) = seen
+        mu = [*lam[:-1], -lam[-1]]
+        assert all(x > 0 for x in mu) or all(x < 0 for x in mu)
+        m, M = min(map(abs, mu)), max(map(abs, mu))
+        assert doc["max_prob_error"] == max(abs(x * x * N**2 - 1) for x in lam)
+        assert doc["max_fidelity_error"] == ((M - m) / (M + m)) ** 2
+        assert code == 0 and doc["pass"] is True and doc["N"] == N
+        assert doc["max_prob_error"] <= 1e-13 and doc["max_fidelity_error"] <= 1e-27
+        assert _meets_closed_forms(N, doc["T_re"], 1 / N**2)
 
-    def test_n6_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "6", "--trials", "20")
-        assert code == 0
-        assert json.loads(out)["pass"] is True
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_1_exit_1(self, capsys, n):
+        assert run(capsys, "verify", "--n", n) == (1, "", "error: need N >= 1\n")
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "change, failed",
         [
-            ("--trials", "0", "need --trials >= 1"),
-            ("--trials", "-1", "need --trials >= 1"),
-            ("--n", "0", "need N >= 1"),
-            ("--n", "-2", "need N >= 1"),
+            (lambda lam: (lam[0] * (1 + 1e-6), *lam[1:]), ["max_prob_error"]),
+            (lambda lam: (*lam[:-1], -lam[-1]), ["max_fidelity_error"]),
+            (lambda lam: (math.nan, *lam[1:]), ["max_fidelity_error", "max_prob_error"]),
+            (lambda lam: (*lam[:-1], math.nan), ["max_fidelity_error", "max_prob_error"]),
         ],
-        ids=["0", "-1", "n0", "n-2"],
+        ids=["p_relative", "sign_flip", "nan_first", "nan_last"],
     )
-    def test_no_trials_exit_1(self, capsys, flag, value, message):
-        # --trials and --n must each be at least 1
-        args = {"--n": "3", "--trials": "5", flag: value}
-        assert run(capsys, "verify", *(x for kv in args.items() for x in kv)) == (1, "", f"error: {message}\n")
-
-    def test_n40_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "40")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["pass"] is True and doc["trials"] == 100
-        assert _meets_closed_forms(40, doc["T_re"], 1 / 40**2)
-        assert doc["max_fidelity_error"] <= 1e-12 and doc["max_prob_error"] <= 1e-12
-
-    @pytest.mark.parametrize(
-        "name, fake, field",
-        [
-            ("fidelity", lambda *args: math.nan, "max_fidelity_error"),
-            ("post_select", _post_select_times(math.nan), "max_prob_error"),
-        ],
-        ids=["fidelity", "probability"],
-    )
-    def test_nan_error_fails(self, capsys, monkeypatch, name, fake, field):
-        # a NaN compares false with every bound, so a running max() would drop it
-        monkeypatch.setattr(f"nssgate.cli.{name}", fake)
-        code, out, _ = run(capsys, "verify", "--n", "3", "--trials", "3")
+    def test_planted_error_fails(self, capsys, monkeypatch, change, failed):
+        # both errors are bounded by identity_tol = 1e-9; p's relative to 1/N^2, so at
+        # N = 14 one level 1e-6 off fails though its p is only 1.0e-8 off absolute; a
+        # flipped lambda_N leaves every p as it was, and some signal is then orthogonal
+        # to its target; a NaN fails wherever it sits
+        code, doc = _verify_on(capsys, monkeypatch, 14, change)
         assert code == 3
-        doc = json.loads(out)
-        assert doc["pass"] is False and math.isnan(doc[field])
-
-    @pytest.mark.parametrize(
-        "name, fake",
-        [("post_select", _post_select_times(1 + 1e-6)), ("fidelity", lambda *args: fidelity(*args) - 5e-9)],
-        ids=["p_relative", "fidelity"],
-    )
-    def test_planted_error_fails(self, capsys, monkeypatch, name, fake):
-        # both errors are bounded by identity_tol = 1e-9; p's relative to
-        # 1/N^2, so at N = 14 a 1e-6 relative error fails though it is only
-        # 5.1e-9 absolute
-        monkeypatch.setattr(f"nssgate.cli.{name}", fake)
-        code, out, _ = run(capsys, "verify", "--n", "14", "--trials", "3")
-        assert code == 3
-        doc = json.loads(out)
         assert doc["pass"] is False and doc["tolerances"]["identity_tol"] == 1e-9
+        errors = ("max_fidelity_error", "max_prob_error")
+        assert [e for e in errors if not doc[e] <= 1e-9] == failed
+        if len(failed) == 2:
+            assert all(math.isnan(doc[e]) for e in errors)
+        elif failed == ["max_fidelity_error"]:
+            assert doc["max_fidelity_error"] == 1.0
 
-    @staticmethod
-    def _draws(capsys, monkeypatch, seed) -> tuple:
-        """(stdout, the signal of every post_select call) of verify --n 4 --trials 5 at seed."""
-        signals = []
-        monkeypatch.setattr(nssgate.cli, "post_select", lambda signal, lam: signals.append(signal) or post_select(signal, lam))
-        code, out, _ = run(capsys, "verify", "--n", "4", "--trials", "5", "--seed", str(seed))
-        assert code == 0
-        return out, signals
 
-    def test_seed_drives_the_draws(self, capsys, monkeypatch):
-        # the errors are roundoff at any draw, so only the recorded signals show what the seed picks
-        out, signals = self._draws(capsys, monkeypatch, 0)
-        assert (out, signals) == self._draws(capsys, monkeypatch, 0)
-        assert signals != self._draws(capsys, monkeypatch, 1)[1]
-        assert len(signals) == 5 and len(set(signals)) == 5
-        for signal in signals:
-            assert len(signal.coefficients) == 5
-            assert math.fsum(abs(c) ** 2 for c in signal.coefficients) == pytest.approx(1.0, rel=0, abs=1e-15)
+class TestWorstCaseRule:
+    """verify's two numbers from lambda alone are attained by signals sent through
+    `post_select`, and no other signal exceeds them; on a gate 1e-3 off, so both
+    sit far above the roundoff of the fidelity."""
+
+    N = 6
+
+    @pytest.fixture
+    def gate(self, capsys, monkeypatch):
+        """(lambda of the minimal N = 6 gate with each level off by up to 1e-3, verify's report on it)."""
+        rng = random.Random(3)
+        lam = tuple(x * (1 + 1e-3 * rng.uniform(-1, 1)) for x in gate_amplitudes(scan_nodes(NodeSet.minimal(self.N)).best.solution))
+        code, doc = _verify_on(capsys, monkeypatch, self.N, lambda _: lam)
+        assert code == 3
+        return lam, doc
+
+    def test_two_levels_attain_the_fidelity_error(self, gate):
+        # weights M/(m+M) and m/(m+M) on the levels of the least and greatest |mu|
+        lam, doc = gate
+        mu = [abs(x) for x in lam]
+        i, j = mu.index(min(mu)), mu.index(max(mu))
+        m, M = mu[i], mu[j]
+        c = [0.0] * (self.N + 1)
+        c[i], c[j] = math.sqrt(M / (m + M)), math.sqrt(m / (m + M))
+        signal = SignalState(tuple(c))
+        out, _ = post_select(signal, lam)
+        assert 1.0 - fidelity(out, target_state(signal)) == pytest.approx(doc["max_fidelity_error"], rel=1e-8, abs=0)
+
+    def test_a_basis_state_attains_the_prob_error(self, gate):
+        lam, doc = gate
+        basis = [SignalState(tuple(float(k == l) for l in range(self.N + 1))) for k in range(self.N + 1)]
+        assert max(abs(post_select(e, lam)[1] * self.N**2 - 1) for e in basis) == doc["max_prob_error"]
+
+    def test_no_signal_exceeds_either_number(self, gate):
+        lam, doc = gate
+        rng = random.Random(5)
+        for _ in range(2000):
+            signal = SignalState(random_signal(rng, self.N + 1))
+            out, prob = post_select(signal, lam)
+            assert abs(prob * self.N**2 - 1) <= doc["max_prob_error"]
+            assert 1.0 - fidelity(out, target_state(signal)) <= doc["max_fidelity_error"]
 
 
 class TestIdentities:
@@ -519,20 +519,22 @@ class TestIdentities:
             assert list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] <= 2 * N + 1
 
 
-# SHA-256 of the stdout of eight reports: the roots, the weights and p, as
+# SHA-256 of the stdout of nine reports: the roots, the weights and p, as
 # printed, must not change by a bit when the solver's arithmetic does, nor
 # the identity residuals when the closed forms' arithmetic does (a version or
 # schema change alters the JSON ones too)
 PINNED_OUTPUTS = {
-    "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "a3d589082217706fab0efb6a52341bcfaf238feaf17f27adef14f9ce742814aa"),
-    "solve_300": (("solve", "--n", "300"), "51363aa389bc2e16683fea8a7e765eb7a0eb9711d505ea432f3a7f7da6818a64"),
-    "solve_2..61": (("solve", "--nodes", ",".join(map(str, range(2, 62)))), "18c49d3887f54f57e916508aec1cbcc9dce61057aa07904b8af38ff589220aaf"),
-    "solve_wide_40": (("solve", "--nodes", ",".join(map(str, WIDE_40))), "9604c35d56cb9660270878159c1f96cef593afb6251d93b794de39142bc3e602"),
+    "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "09272c513f10862a0f05cb87fa4bb111b22c7dc257961884f6f3dac5a99e264d"),
+    "solve_300": (("solve", "--n", "300"), "fa03930918df273c83e6323e5e6c92b5690ae56a7cc66bd96dba8716b1f63898"),
+    "solve_2..61": (("solve", "--nodes", ",".join(map(str, range(2, 62)))), "84d8e643fd19b675f1d2ce9033d3307bbb24109767542a2b6a825a2e35c43d32"),
+    "solve_wide_40": (("solve", "--nodes", ",".join(map(str, WIDE_40))), "b5554879a9a0d9fc3a934981c3c76fda6527e5b92622574f7d482f621e210f77"),
     # three roots, on both sides of T = 0 and two of them 0.002 apart
-    "solve_2_5,6": (("solve", "--nodes", "5,6"), "1ede9e40ac809cfaaeae50e2fd7b6f3d8ddbf74ad83fe9181bdc364b72bcd560"),
+    "solve_2_5,6": (("solve", "--nodes", "5,6"), "b37a99be5123ac8c68db7e0fb5b9c44f0fdc8e34e2d42a9d77fb25f796182378"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "c1069dbd4c574802e0f248905cbcc3cd4fb5631972e0b9250772e39ea625c7d3"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
-    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "6fe3ece7430170d7b726656811c891758a7070241a1e1c5a629c3ffc851dace4"),
+    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "5ddb9e9de49f162a49ec9b1d4e9daa42756b0b50007796d87cbf55b8d08b4d5b"),
+    # the worst case of every signal, read from lambda: no draw, so no seed
+    "verify_14": (("verify", "--n", "14"), "3ffd4787ca406d4cfec4b50b2d502ea7cc1bfa8cfa5d6f964641f534b4ead6a0"),
 }
 
 
@@ -543,7 +545,7 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [("verify", "--n", "2"), ("identities", "--suite", "a")], ids=["verify", "identities"])
+@pytest.mark.parametrize("argv", [("identities", "--suite", "a")], ids=["identities"])
 def test_negative_seed_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--seed", "-1"])
@@ -579,16 +581,18 @@ def test_n_past_any_tuple_length_exits_1(capsys, argv):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("verify", "--n", "2", "--trials", "2"), ("--format", "csv")),
+        (("verify", "--n", "2"), ("--format", "csv")),
         (("identities",), ("--format", "csv")),
         (("solve", "--n", "2"), ("--seed", "1")),
         (("sweep", "--n-min", "1", "--n-max", "2"), ("--seed", "1")),
+        (("verify", "--n", "2"), ("--seed", "1")),
+        (("verify", "--n", "2"), ("--trials", "5")),
     ],
-    ids=["verify", "identities", "solve-seed", "sweep-seed"],
+    ids=["verify", "identities", "solve-seed", "sweep-seed", "verify-seed", "verify-trials"],
 )
 def test_format_only_on_tables(capsys, argv, flag):
-    # only solve and sweep have a CSV form, and only verify and identities
-    # draw random numbers, so only they take --seed
+    # only solve and sweep have a CSV form, and only identities draws random
+    # numbers, so only it takes --seed; verify checks every signal at once
     with pytest.raises(SystemExit) as exc:
         main([*argv, *flag])
     assert exc.value.code == 1
