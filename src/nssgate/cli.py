@@ -5,7 +5,10 @@ and sweep tables), embed schema/version/tolerances and, for the randomized
 identities, the seed, and are written atomically when --out is given.  Exit
 codes: 0 success, 1 usage/validation error, 2 unused (every node set has a
 gate), 3 identity/verification failure.  identities draws from
-`random.Random(seed)`; verify reads the worst signal off lambda, drawing none.
+`random.Random(seed)` and takes every residual but p_equals_N's on integers,
+the sides scaled to `spoly_scaled`'s b^{2k} at x = a/b; a failing residual is
+on that scale, and past the float range it reads inf.  verify reads the worst
+signal off lambda, drawing none.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .determinants import (
     gapped_vandermonde,
     gapped_vandermonde_S,
     spoly_det,
-    vandermonde_S,
     vandermonde_power,
 )
 from .fock_oracle import gate_amplitudes
@@ -142,9 +144,15 @@ def cmd_sweep(args) -> int:
 
 
 def _verdict(errors: list, tol: float = IDENTITY_TOL) -> tuple:
-    """(worst, pass) of every CLI check: each error must be <= tol, so a NaN is the worst and fails."""
-    worst = math.nan if any(math.isnan(e) for e in errors) else max(errors)
-    return float(worst), all(e <= tol for e in errors)
+    """(worst, pass) of every CLI check: each error must be <= tol, so a NaN (e != e) is the worst and fails.
+    An integer or `Fraction` worst past the float range reads inf."""
+    if any(e != e for e in errors):
+        return math.nan, False
+    try:
+        worst = float(max(errors))
+    except OverflowError:
+        worst = math.inf
+    return worst, all(e <= tol for e in errors)
 
 
 def _worst_fidelity_error(lam: tuple) -> float:
@@ -223,22 +231,24 @@ def _p_equals_N(rng) -> Fraction:
     return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
 
 
-def _one_gap_binomial(rng) -> Fraction:
-    """The one-gap expansion times (N+1) C(N,q) b^{2N} at x = a/b, exact."""
+def _one_gap_binomial(rng) -> int:
+    """The one-gap expansion times (N+1) C(N,q) b^{2N} at x = a/b, exact: `gapped_binomial_expand` carries
+    (N+1) C(N,q), so (a^2-b^2)^N times it is the left side."""
     N = rng.randrange(1, 9)
     q = rng.randrange(0, N + 1)
     l = rng.randrange(0, 2 * N + 3)
     a, b = _rand_x(rng).as_integer_ratio()
     rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
-    return abs((a * a - b * b) ** N * (N + 1) * math.comb(N, q) * gapped_binomial_expand(N + 1, q, l) - rhs)
+    return abs((a * a - b * b) ** N * gapped_binomial_expand(N + 1, q, l) - rhs)
 
 
-def _gap_product(rng) -> Fraction:
+def _gap_product(rng) -> int:
+    """The gap expansion times p!, against p C(p-1,q) prod_{k != q} (l-k), exact."""
     p = rng.randrange(1, 9)
     q = rng.randrange(0, p)
     l = rng.randrange(-3, 2 * p + 3)
     prod = math.prod(l - k for k in range(p) if k != q)
-    return abs(gapped_binomial_expand(p, q, l) - Fraction(prod, math.factorial(p)))
+    return abs(gapped_binomial_expand(p, q, l) * math.factorial(p) - p * math.comb(p - 1, q) * prod)
 
 
 def _vandermonde_power() -> list:
@@ -247,18 +257,21 @@ def _vandermonde_power() -> list:
     return [abs(vandermonde_power(nodes) - gapped_vandermonde(N, gap)) for N, gap, nodes in sets]
 
 
-def _gapped_S(rng) -> Fraction:
+def _gapped_S(rng) -> int:
+    """The S-basis determinant of {0..N-1} less one gap against its closed form, both times b^{(N-1)(N-2)}."""
     N = rng.randrange(2, 11)
     gap = rng.randrange(0, N)
-    x = _rand_x(rng)
-    return abs(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), x) - gapped_vandermonde_S(N, gap, x))
+    a, b = _rand_x(rng).as_integer_ratio()
+    return abs(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), a, b) - gapped_vandermonde_S(N, gap, a, b))
 
 
-def _product_rule(rng) -> Fraction:
+def _product_rule(rng) -> int:
+    """det[S_k(n_l)] = V(n) prod_k (x^2-1)^k / k! times b^{N(N-1)} prod_k k!, exact."""
     N = rng.randrange(1, 11)
     nodes = NodeSet(tuple(sorted(rng.sample(range(2 * N + 2), N))))
-    x = _rand_x(rng)
-    return abs(spoly_det(nodes, x) - vandermonde_S(nodes, x))
+    a, b = _rand_x(rng).as_integer_ratio()
+    det = spoly_det(nodes, a, b) * math.prod(map(math.factorial, range(N)))
+    return abs(det - (a * a - b * b) ** (N * (N - 1) // 2) * vandermonde_power(nodes))
 
 
 def _suite_a(rng) -> list:

@@ -3,11 +3,12 @@
 Also `exact_det`, the exact determinant of a rational matrix: each row is
 scaled to integers once, by the lcm of its denominators, and Bareiss's
 fraction-free elimination (Math. Comp. 22, 565 (1968)) runs on the integers,
-where every division is exact.  `spoly_det` is the exact determinant of the
-S-basis matrix: row k shares the denominator b^{2k} of x = a/b, so Bareiss
-runs on the integer rows `spoly_scaled` gives and one division by
-b^{N(N-1)} replaces a gcd-reduced `Fraction` per element.  Then the gapped
-Vandermondians that the `identities` suites check, and `dense_det`, the
+where every division is exact.  `spoly_det` is the determinant of the
+S-basis matrix at x = a/b on `spoly_scaled`'s scale: row k shares the
+denominator b^{2k}, so Bareiss runs on the integer rows `spoly_scaled` gives
+and returns b^{N(N-1)} times the determinant, an integer with no `Fraction`.
+Then the gapped Vandermondians that the `identities` suites check, the
+S-basis one on the same scale, and `dense_det`, the
 `exact_det` of a float matrix rounded once to a float, which no module calls:
 it stays in the package only because perfbench/run.py traces it by its module
 path.
@@ -121,10 +122,10 @@ def _bareiss(a: list) -> int:
     n = len(a)
     sign = prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
+        if not a[col][col]:
+            piv = next((r for r in range(col + 1, n) if a[r][col]), None)
+            if piv is None:
+                return 0
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
         for r in range(col + 1, n):
@@ -164,13 +165,10 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
     return [[div(spoly_scaled(k, a, b, n), b ** (2 * k)) for n in nodes] for k in range(len(nodes))]
 
 
-def spoly_det(nodes: NodeSet, x) -> Fraction:
-    """Exact det of `spoly_matrix(nodes, x)`: row k is `spoly_scaled` over the
-    one denominator b^{2k}, so Bareiss runs on the integer rows and the
-    product b^{N(N-1)} divides once at the end."""
-    a, b = integer_ratio(x)
-    N = len(nodes)
-    return Fraction(_bareiss([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(N)]), b ** (N * (N - 1)))
+def spoly_det(nodes: NodeSet, a: int, b: int) -> int:
+    """b^{N(N-1)} det[S_k^{(a/b)}(n_l)], k = 0..N-1: Bareiss on the integer
+    rows `spoly_scaled` gives, row k being b^{2k} times the S-basis row."""
+    return _bareiss([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(len(nodes))])
 
 
 def gapped_vandermonde(N: int, gap: int) -> int:
@@ -180,9 +178,9 @@ def gapped_vandermonde(N: int, gap: int) -> int:
     return math.prod(math.factorial(k) for k in range(N - 1)) * math.comb(N - 1, gap)
 
 
-def gapped_vandermonde_S(N: int, gap: int, x):
-    """S-basis Vandermondian of the same nodes, (x^2-1)^{(N-1)(N-2)/2} C(N-1, gap),
-    in the type of x."""
+def gapped_vandermonde_S(N: int, gap: int, a: int, b: int) -> int:
+    """S-basis Vandermondian of the same nodes at x = a/b on `spoly_det`'s scale,
+    b^{(N-1)(N-2)} (x^2-1)^{(N-1)(N-2)/2} C(N-1, gap) = (a^2-b^2)^{(N-1)(N-2)/2} C(N-1, gap)."""
     if not 0 <= gap <= N - 1:
         raise ValueError("gap must lie in [0, N-1]")
-    return (x * x - 1) ** ((N - 1) * (N - 2) // 2) * math.comb(N - 1, gap)
+    return (a * a - b * b) ** ((N - 1) * (N - 2) // 2) * math.comb(N - 1, gap)

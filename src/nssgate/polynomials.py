@@ -13,7 +13,8 @@ recurrence and the sum from homogeneous Horner in a^2 and b^2-a^2, with no
 `Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
 beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n), one
 more quotient.  The `identities` suites check the recursion and both S-basis
-expansions on `spoly_scaled`'s integers, with `oneq_coefficient` scaled alike.
+expansions on `spoly_scaled`'s integers, with `oneq_coefficient` and
+`gapped_binomial_expand` scaled alike, so no check normalises a `Fraction`.
 """
 
 from __future__ import annotations
@@ -108,18 +109,19 @@ def symmetric_s(x, p: int, j: int, N: int):
     return math.comb(p, j) * x ** (2 * (p - j)) * (1 - x * x) ** (N - p)
 
 
-def gapped_binomial_expand(p: int, q: int, l: int) -> Fraction:
-    """The gap-q expansion of C(l,p)/(l-q), valid also at the removable point l = q.
+def gapped_binomial_expand(p: int, q: int, l: int) -> int:
+    """The gap-q expansion of C(l,p)/(l-q) times p C(p-1,q), valid also at the
+    removable point l = q: the integer
 
-    Returns (1/(p C(p-1,q))) sum_{r=0}^{p-1} (-1)^{p-1-r} C(r,q) C(l,r), exactly,
-    which equals (1/p!) prod_{k != q, k < p} (l-k) for every l.
+    sum_{r=q}^{p-1} (-1)^{p-1-r} C(r,q) C(l,r) = p C(p-1,q) (1/p!) prod_{k != q, k < p} (l-k)
+
+    for every integer l.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if not 0 <= q < p:
         raise ValueError("need 0 <= q < p")
-    total = sum((-1) ** (p - 1 - r) * math.comb(r, q) * binomial(l, r) for r in range(q, p))
-    return Fraction(total, p * math.comb(p - 1, q))
+    return sum((-1) ** (p - 1 - r) * math.comb(r, q) * binomial(l, r) for r in range(q, p))
 
 
 def oneq_coefficient(a: int, b: int, q: int, j: int, N: int) -> int:

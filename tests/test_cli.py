@@ -7,14 +7,13 @@ import random
 import stat
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nssgate
 from nssgate.cli import main
-from nssgate.determinants import NodeSet
+from nssgate.determinants import NodeSet, gapped_vandermonde_S, vandermonde_power
 from nssgate.fock_oracle import SignalState, apply_gate, fidelity, gate_amplitudes, post_select, target_state
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import scan_nodes
@@ -461,17 +460,49 @@ class TestIdentities:
         doc = json.loads(out)
         assert [r["max_residual"] for r in doc["suites"]["c"]] == [0.0, 0.0, 0.0]
 
+    @staticmethod
+    def _plant_in_product_rule(monkeypatch, change):
+        """Apply change to V(n) where `_product_rule` reads it for its closed form, and nowhere else."""
+
+        def planted(nodes):
+            v = vandermonde_power(nodes)
+            return change(v) if sys._getframe(1).f_code.co_name == "_product_rule" else v
+
+        monkeypatch.setattr(nssgate.cli, "vandermonde_power", planted)
+
     @pytest.mark.parametrize("name", ["gapped_vandermonde_S", "vandermonde_S"])
     def test_planted_error_fails(self, capsys, monkeypatch, name):
-        # suite c compares exact values, so a closed form off by 1e-12 relative
-        # fails; a relative bound of identity_tol would let it pass
-        closed_form = getattr(nssgate.cli, name)
-        monkeypatch.setattr(nssgate.cli, name, lambda *args: closed_form(*args) * (1 + Fraction(1, 10**12)))
+        # suite c compares integers on spoly_det's scale, so a closed form off by
+        # one fails though that is far below 1e-12 relative; a relative bound of
+        # identity_tol would let it pass.  The product rule's closed form is
+        # (a^2-b^2)^{N(N-1)/2} V(n), so its off-by-one is planted in V(n)
+        if name == "vandermonde_S":
+            self._plant_in_product_rule(monkeypatch, lambda v: v + 1)
+        else:
+            monkeypatch.setattr(nssgate.cli, name, lambda *args: gapped_vandermonde_S(*args) + 1)
         code, out, _ = run(capsys, "identities", "--suite", "c")
         assert code == 3
         doc = json.loads(out)
         assert doc["pass"] is False
         assert sum(r["pass"] is False and r["max_residual"] > 0 for r in doc["suites"]["c"]) == 1
+
+    @pytest.mark.parametrize("suite", ["a", "c"])
+    def test_residual_past_the_float_range_reads_infinity(self, capsys, monkeypatch, suite):
+        # an integer residual past the float range fails as inf (JSON Infinity), with exit 3
+        # and no OverflowError: suite a's b^{2k} S_k and suite c's product rule off by 10^400
+        if suite == "a":
+            monkeypatch.setattr(nssgate.cli, "spoly_scaled", lambda k, a, b, n: spoly_scaled(k, a, b, n) + (k >= 1) * 10**400)
+            failing = "three_term_recursion"
+        else:
+            self._plant_in_product_rule(monkeypatch, lambda v: v * 10**400)
+            failing = "S_basis_product_rule"
+        code, out, err = run(capsys, "identities", "--suite", suite)
+        assert code == 3 and err == ""
+        assert '"max_residual": Infinity' in out
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert [r["identity"] for r in doc["suites"][suite] if r["pass"] is False] == [failing]
+        assert [r["max_residual"] for r in doc["suites"][suite] if r["identity"] == failing] == [math.inf]
 
     @pytest.mark.parametrize(
         "suite, name",
@@ -495,11 +526,13 @@ class TestIdentities:
 
     @staticmethod
     def _suite_c_draws(capsys, monkeypatch, seed) -> dict:
-        """The (node values, x) of every spoly_det and vandermonde_S call of suite c at seed."""
-        calls = {"spoly_det": [], "vandermonde_S": []}
+        """The arguments, node sets as their values, of every spoly_det and vandermonde_power call of suite c at seed."""
+        calls = {"spoly_det": [], "vandermonde_power": []}
         for name, record in calls.items():
             closed = getattr(nssgate.determinants, name)
-            monkeypatch.setattr(nssgate.cli, name, lambda nodes, x, f=closed, r=record: r.append((nodes.values, x)) or f(nodes, x))
+            monkeypatch.setattr(
+                nssgate.cli, name, lambda nodes, *ab, f=closed, r=record: r.append((nodes.values, *ab)) or f(nodes, *ab)
+            )
         assert run(capsys, "identities", "--suite", "c", "--seed", str(seed))[0] == 0
         return calls
 
@@ -508,12 +541,15 @@ class TestIdentities:
         draws = self._suite_c_draws(capsys, monkeypatch, 0)
         assert draws == self._suite_c_draws(capsys, monkeypatch, 0)
         assert draws != self._suite_c_draws(capsys, monkeypatch, 1)
-        # 100 gapped-S instances, then 100 product-rule ones, each of which calls both
-        assert (len(draws["spoly_det"]), len(draws["vandermonde_S"])) == (200, 100)
-        assert draws["spoly_det"][100:] == draws["vandermonde_S"]
-        for _, x in draws["spoly_det"]:
-            assert type(x) is Fraction and (x * 1000).denominator == 1 and 0 < abs(x) <= Fraction(95, 100)
-        for nodes, x in draws["vandermonde_S"]:
+        # the 54 gapped power sets, then 100 gapped-S instances, then 100 product-rule ones, each
+        # of which calls both on the same nodes
+        assert (len(draws["spoly_det"]), len(draws["vandermonde_power"])) == (200, 154)
+        assert [(nodes,) for nodes, _, _ in draws["spoly_det"][100:]] == draws["vandermonde_power"][54:]
+        for _, a, b in draws["spoly_det"]:
+            # x = a/b in lowest terms, a multiple of 1/1000 with 0 < |x| <= 0.95
+            assert type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1
+            assert 1000 % b == 0 and 0 < 100 * abs(a) <= 95 * b
+        for nodes, _, _ in draws["spoly_det"][100:]:
             N = len(nodes)
             assert 1 <= N <= 10 and all(type(v) is int for v in nodes)
             assert list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] <= 2 * N + 1

@@ -222,7 +222,7 @@ def test_vandermonde_S_product_rule_random():
     # 50 random x values, N <= 10; determinant in exact arithmetic because the
     # product value is exponentially smaller than the matrix entries.  The
     # closed form follows the type of x: exact at a Fraction, and at a float
-    # within 1e-12 of the exact determinant at that float
+    # within 1e-12 of the exact determinant at that float, unscaled from spoly_det
     rng = random.Random(SEED)
     for _ in range(50):
         N = rng.randrange(1, 11)
@@ -230,8 +230,10 @@ def test_vandermonde_S_product_rule_random():
         x = Fraction(rng.randrange(-949, 950), 1000)
         assert vandermonde_S(nodes, x) == exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
         xf = float(x)
+        a, b = xf.as_integer_ratio()
         assert type(vandermonde_S(nodes, xf)) is float
-        assert vandermonde_S(nodes, xf) == pytest.approx(float(spoly_det(nodes, xf)), rel=1e-12), (nodes, x)
+        det = Fraction(spoly_det(nodes, a, b), b ** (N * (N - 1)))
+        assert vandermonde_S(nodes, xf) == pytest.approx(float(det), rel=1e-12), (nodes, x)
 
 
 def _product_rule_exact(nodes, x) -> Fraction:
@@ -241,8 +243,8 @@ def _product_rule_exact(nodes, x) -> Fraction:
 
 
 def test_spoly_det_equals_the_matrix_determinant_and_the_product_rule():
-    # one division by b^{N(N-1)} after Bareiss on the integer rows gives the
-    # Fraction of the element-wise exact matrix, and the closed form exactly:
+    # Bareiss on the integer rows gives b^{N(N-1)} times the determinant of the
+    # element-wise exact matrix, and divided by it the closed form exactly:
     # every N = 1..6 set in 0..N+3, at x = 0 and +-1 (singular rows for N > 1),
     # thirds, a sample point of the suites and a binary float; then N = 10
     rng = random.Random(SEED)
@@ -250,10 +252,31 @@ def test_spoly_det_equals_the_matrix_determinant_and_the_product_rule():
     large = [tuple(sorted(rng.sample(range(22), 10))) for _ in range(8)]
     for nodes in map(NodeSet, small + large):
         for x in (0, 1, -1, Fraction(1, 3), Fraction(-949, 1000), 0.37):
-            det = spoly_det(nodes, x)
-            assert type(det) is Fraction, (nodes, x)
-            assert det == exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
-            assert det == _product_rule_exact(nodes, x) == vandermonde_S(nodes, Fraction(x)), (nodes, x)
+            a, b = x.as_integer_ratio()
+            scale = b ** (len(nodes) * (len(nodes) - 1))
+            det = spoly_det(nodes, a, b)
+            assert type(det) is int, (nodes, x)
+            assert det == scale * exact_det(spoly_matrix(nodes, x, exact=True)), (nodes, x)
+            assert Fraction(det, scale) == _product_rule_exact(nodes, x) == vandermonde_S(nodes, Fraction(x)), (nodes, x)
+
+
+def test_spoly_det_is_the_scaled_exact_determinant():
+    # spoly_det(nodes, a, b) = b^{N(N-1)} det[S_k^{(a/b)}(n_l)] for a/b in lowest
+    # terms or not, negative a included: a seeded family of N = 1..8 sets in
+    # 0..2N+2, with a single node and x = +-1 (0 for N >= 2) in each size
+    rng = random.Random(SEED + 1)
+    for N in range(1, 9):
+        for _ in range(12):
+            nodes = NodeSet(tuple(sorted(rng.sample(range(2 * N + 3), N))))
+            b = rng.randrange(1, 40)
+            for a in (rng.randrange(-3 * b, 3 * b + 1), b, -b):
+                want = b ** (N * (N - 1)) * exact_det(spoly_matrix(nodes, Fraction(a, b), exact=True))
+                assert spoly_det(nodes, a, b) == want, (nodes, a, b)
+                if abs(a) == b:
+                    assert spoly_det(nodes, a, b) == (N == 1), (nodes, a, b)
+    for n in (0, 1, 7):
+        for a, b in ((-5, 3), (1, 1), (-1, 1), (0, 1)):
+            assert spoly_det(NodeSet((n,)), a, b) == 1
 
 
 def test_gapped_examples():
@@ -268,7 +291,7 @@ def test_gapped_examples():
 def test_gapped_S_rejects_gap_out_of_range():
     for N, gap in ((4, 4), (4, -1), (1, 1)):
         with pytest.raises(ValueError, match="gap"):
-            gapped_vandermonde_S(N, gap, 0.3)
+            gapped_vandermonde_S(N, gap, 3, 10)
 
 def test_gapped_power_exact_all_gaps():
     for N in range(2, 11):
@@ -278,14 +301,15 @@ def test_gapped_power_exact_all_gaps():
 
 
 def test_gapped_s_basis_random_x():
+    # both sides on spoly_det's scale b^{(N-1)(N-2)}, N - 1 nodes
     rng = random.Random(SEED)
     for N in range(2, 11):
         for gap in range(N):
             x = Fraction(rng.randrange(-949, 950), 1000)
+            a, b = x.as_integer_ratio()
             nodes = NodeSet(tuple(v for v in range(N) if v != gap))
-            det = exact_det(spoly_matrix(nodes, x, exact=True))
-            assert gapped_vandermonde_S(N, gap, x) == spoly_det(nodes, x) == det, (N, gap, x)
-            assert float(det) == pytest.approx(gapped_vandermonde_S(N, gap, float(x)), rel=1e-10)
+            det = b ** ((N - 1) * (N - 2)) * exact_det(spoly_matrix(nodes, x, exact=True))
+            assert gapped_vandermonde_S(N, gap, a, b) == spoly_det(nodes, a, b) == det, (N, gap, x)
 
 
 def test_column_splitting_lemma():

@@ -268,7 +268,8 @@ def test_binomial_expansion_over_s_basis():
 
 def test_one_gap_expansion_over_s_basis():
     # the same with the gap-q coefficient, unscaled from its integer
-    # (N+1) C(N,q) b^{2(N-j)} s_{N-j}^{(q)}(a/b), exactly at x = a/b
+    # (N+1) C(N,q) b^{2(N-j)} s_{N-j}^{(q)}(a/b), and the expansion from its
+    # integer (N+1) C(N,q) C(l,N+1)/(l-q), exactly at x = a/b
     rng = random.Random(SEED)
     for N in range(1, 9):
         x = Fraction(rng.randrange(-949, 950), 1000)
@@ -277,15 +278,16 @@ def test_one_gap_expansion_over_s_basis():
             scale = [(N + 1) * math.comb(N, q) * b ** (2 * (N - j)) for j in range(N + 1)]
             s = [Fraction(oneq_coefficient(a, b, q, j, N), scale[j]) for j in range(N + 1)]
             for l in range(2 * N + 3):
-                lhs = (x * x - 1) ** N * gapped_binomial_expand(N + 1, q, l)
+                lhs = (x * x - 1) ** N * Fraction(gapped_binomial_expand(N + 1, q, l), (N + 1) * math.comb(N, q))
                 rhs = sum((-1) ** (N - j) * s[j] * spoly_eval_exact(j, x, l) for j in range(N + 1))
                 assert lhs == rhs, (N, q, l, x)
 
 
 def test_gapped_binomial_examples():
+    # p C(p-1,q) times 1, 1 and -1/6
     assert gapped_binomial_expand(1, 0, 5) == 1
-    assert gapped_binomial_expand(2, 0, 3) == 1
-    assert gapped_binomial_expand(3, 1, 1) == Fraction(-1, 6)
+    assert gapped_binomial_expand(2, 0, 3) == 2
+    assert gapped_binomial_expand(3, 1, 1) == -1
     with pytest.raises(ValueError):
         gapped_binomial_expand(3, 3, 1)
     with pytest.raises(ValueError):
@@ -297,7 +299,18 @@ def test_gapped_binomial_matches_product_form():
         for q in range(p):
             for l in range(-3, 2 * p + 3):
                 prod = Fraction(math.prod(l - k for k in range(p) if k != q), math.factorial(p))
-                assert gapped_binomial_expand(p, q, l) == prod
+                assert Fraction(gapped_binomial_expand(p, q, l), p * math.comb(p - 1, q)) == prod
+
+
+def test_gapped_binomial_expand_is_an_integer_on_the_product_scale():
+    # the sum times p! is p C(p-1,q) prod_{k != q} (l-k), in integers, at every l
+    # in -3..2p+2, the removable point l = q and negative l included
+    for p in range(1, 9):
+        for q in range(p):
+            for l in range(-3, 2 * p + 3):
+                got = gapped_binomial_expand(p, q, l)
+                assert type(got) is int, (p, q, l)
+                assert got * math.factorial(p) == p * math.comb(p - 1, q) * math.prod(l - k for k in range(p) if k != q)
 
 
 def test_weight_sequence_generating_function():
