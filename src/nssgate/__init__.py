@@ -7,7 +7,7 @@ rest on (T = 1 - 2^{1/N}, p_max = 1/N^2 for minimal ancillas).
 """
 
 from .determinants import NodeSet, vandermonde_S, vandermonde_power
-from .fock_oracle import SignalState, apply_gate, bs_sector_unitary, fidelity, target_state
+from .fock_oracle import SignalState, apply_gate, bs_sector_unitary
 from .gate_solver import (
     BeamSplitter,
     GateSolution,
@@ -29,8 +29,6 @@ __all__ = [
     "SignalState",
     "apply_gate",
     "bs_sector_unitary",
-    "fidelity",
-    "target_state",
     "BeamSplitter",
     "GateSolution",
     "bs_diagonal_element",

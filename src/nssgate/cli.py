@@ -4,11 +4,11 @@ Single-invocation batch tool.  All artifacts are JSON (or CSV for the solve
 and sweep tables), embed schema/version/tolerances and, for the randomized
 identities, the seed, and are written atomically when --out is given.  Exit
 codes: 0 success, 1 usage/validation error, 2 unused (every node set has a
-gate), 3 identity/verification failure.  identities draws from
-`random.Random(seed)` and takes every residual but p_equals_N's on integers,
-the sides scaled to `spoly_scaled`'s b^{2k} at x = a/b; a failing residual is
-on that scale, and past the float range it reads inf.  verify reads the worst
-signal off lambda, drawing none.
+gate), 3 identity/verification failure.  identities draws each x from
+`random.Random(seed)` as an integer pair (a, b), x = a/b, and takes every
+residual on integers, the sides scaled to `spoly_scaled`'s b^{2k}; a failing
+residual is on that scale, and past the float range it reads inf.  verify
+reads the worst signal off lambda, drawing none.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import random
 import stat
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .determinants import (
@@ -145,7 +144,7 @@ def cmd_sweep(args) -> int:
 
 def _verdict(errors: list, tol: float = IDENTITY_TOL) -> tuple:
     """(worst, pass) of every CLI check: each error must be <= tol, so a NaN (e != e) is the worst and fails.
-    An integer or `Fraction` worst past the float range reads inf."""
+    An integer worst past the float range reads inf."""
     if any(e != e for e in errors):
         return math.nan, False
     try:
@@ -182,12 +181,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-def _rand_x(rng) -> Fraction:
-    """Random non-zero rational sample point in [-0.95, 0.95] (exact, reproducible)."""
+def _rand_x(rng) -> tuple:
+    """Random non-zero rational sample point x = a/b in [-0.95, 0.95], as its lowest-terms pair (a, b), b > 0."""
     while True:
         v = rng.randint(-950, 950)
         if v != 0:
-            return Fraction(v, 1000)
+            g = math.gcd(v, 1000)
+            return v // g, 1000 // g
 
 
 def _identity(name: str, residuals: list) -> dict:
@@ -199,11 +199,10 @@ def _identity(name: str, residuals: list) -> dict:
 def _recursion(rng) -> list:
     """k S_k = [(x^2-1)(n+k) + 2k-1] S_{k-1} - (k-1) x^2 S_{k-2} times b^{2k},
     on the integers s_k = b^{2k} S_k (`spoly_scaled`) at x = a/b: exact."""
-    xs = [Fraction(0), Fraction(1), Fraction(-1)] + [_rand_x(rng) for _ in range(100)]
+    xs = [(0, 1), (1, 1), (-1, 1)] + [_rand_x(rng) for _ in range(100)]
     residuals = []
-    for x in xs:
+    for a, b in xs:
         n = rng.randrange(0, 31)
-        a, b = x.as_integer_ratio()
         a2, b2 = a * a, b * b
         s = [spoly_scaled(k, a, b, n) for k in range(21)]
         for k in range(2, 21):
@@ -218,17 +217,19 @@ def _binomial(rng) -> int:
     N = rng.randrange(1, 9)
     p = rng.randrange(0, N + 1)
     l = rng.randrange(0, 2 * N + 1)
-    a, b = _rand_x(rng).as_integer_ratio()
+    a, b = _rand_x(rng)
     a2, d = a * a, b * b - a * a
     rhs = sum((-1) ** (N - j) * math.comb(p, j) * a2 ** (p - j) * spoly_scaled(j, a, b, l) for j in range(p + 1))
     return abs((-d) ** N * math.comb(l, p) - d ** (N - p) * rhs)
 
 
-def _p_equals_N(rng) -> Fraction:
+def _p_equals_N(rng) -> int:
+    """s_{N-j}(x; N; N) = C(N,j) x^{2(N-j)} times b^{2(N-j)} at x = a/b: the factor (1-x^2)^0 is 1, so the
+    left side is `symmetric_s` at the integer a, exact."""
     N = rng.randrange(1, 9)
     j = rng.randrange(0, N + 1)
-    x = _rand_x(rng)
-    return abs(symmetric_s(x, N, j, N) - math.comb(N, j) * x ** (2 * (N - j)))
+    a, _ = _rand_x(rng)
+    return abs(symmetric_s(a, N, j, N) - math.comb(N, j) * a ** (2 * (N - j)))
 
 
 def _one_gap_binomial(rng) -> int:
@@ -237,7 +238,7 @@ def _one_gap_binomial(rng) -> int:
     N = rng.randrange(1, 9)
     q = rng.randrange(0, N + 1)
     l = rng.randrange(0, 2 * N + 3)
-    a, b = _rand_x(rng).as_integer_ratio()
+    a, b = _rand_x(rng)
     rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
     return abs((a * a - b * b) ** N * gapped_binomial_expand(N + 1, q, l) - rhs)
 
@@ -261,7 +262,7 @@ def _gapped_S(rng) -> int:
     """The S-basis determinant of {0..N-1} less one gap against its closed form, both times b^{(N-1)(N-2)}."""
     N = rng.randrange(2, 11)
     gap = rng.randrange(0, N)
-    a, b = _rand_x(rng).as_integer_ratio()
+    a, b = _rand_x(rng)
     return abs(spoly_det(NodeSet(tuple(v for v in range(N) if v != gap)), a, b) - gapped_vandermonde_S(N, gap, a, b))
 
 
@@ -269,7 +270,7 @@ def _product_rule(rng) -> int:
     """det[S_k(n_l)] = V(n) prod_k (x^2-1)^k / k! times b^{N(N-1)} prod_k k!, exact."""
     N = rng.randrange(1, 11)
     nodes = NodeSet(tuple(sorted(rng.sample(range(2 * N + 2), N))))
-    a, b = _rand_x(rng).as_integer_ratio()
+    a, b = _rand_x(rng)
     det = spoly_det(nodes, a, b) * math.prod(map(math.factorial, range(N)))
     return abs(det - (a * a - b * b) ** (N * (N - 1) // 2) * vandermonde_power(nodes))
 

@@ -24,10 +24,7 @@ __all__ = [
     "SignalState",
     "bs_sector_unitary",
     "gate_amplitudes",
-    "post_select",
     "apply_gate",
-    "target_state",
-    "fidelity",
 ]
 
 # Largest photon sector built: the recursion's unitarity defect max|U^T U - 1|
@@ -147,7 +144,7 @@ def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
     return tuple(math.fsum(wl * x for wl, x in zip(w, row)) for row in (*a2, a1[0]))
 
 
-def post_select(signal: SignalState, lam: tuple) -> tuple:
+def _post_select(signal: SignalState, lam: tuple) -> tuple:
     """(output SignalState, acceptance probability) of the signal through a
     gate with per-level amplitudes lam (`gate_amplitudes`).  The probability
     is the `math.fsum` of the squared real and imaginary parts of c_k lambda_k,
@@ -170,23 +167,9 @@ def apply_gate(signal: SignalState, sol: GateSolution, full: bool = False):
 
     Returns (output SignalState, probability, per-level amplitudes lambda_k).
     The gate works when all |lambda_k| coincide and lambda_N = -lambda_k for
-    k < N; the acceptance probability is then |lambda_0|^2.  For many signals
-    through one gate, call `gate_amplitudes` once and `post_select` per signal.
+    k < N; the acceptance probability is then |lambda_0|^2.  The worst case
+    over every signal is read off lambda alone (`nssgate verify`).
     """
     lam = gate_amplitudes(sol, full)
-    return (*post_select(signal, lam), lam)
+    return (*_post_select(signal, lam), lam)
 
-
-def target_state(signal: SignalState) -> SignalState:
-    """The ideal gate output (c_0, ..., c_{N-1}, -c_N)."""
-    c = list(signal.coefficients)
-    c[-1] = -c[-1]
-    return SignalState(tuple(c))
-
-
-def fidelity(a: SignalState, b: SignalState) -> float:
-    """|<a|b>|^2 (global phase dropped) of two states of the same dimension."""
-    if a.N != b.N:
-        raise ValueError("the two states differ in dimension")
-    ov = sum(x.conjugate() * y for x, y in zip(a.coefficients, b.coefficients))
-    return abs(ov) ** 2

@@ -93,7 +93,7 @@ def spoly_eval_exact(k: int, x, n: int) -> Fraction:
 
 def symmetric_s(x, p: int, j: int, N: int):
     """Expansion coefficient s_{N-j}(x; p; N) = C(p,j) x^{2(p-j)} (1-x^2)^{N-p},
-    in the type of x (exact for a `Fraction` x).
+    in the type of x (exact for an int or `Fraction` x).
 
     These solve (x^2-1)^N C(l,p) = sum_j (-1)^{N-j} s_{N-j} S_j^{(x)}(l).
     For p = N they reduce to C(N,j) x^{2(N-j)}.

@@ -18,9 +18,12 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   as a polynomial in n, and the weight sequences s_l in both forms;
 - every Fock sector unitary U_0..U_M built whole, one sector from the last,
   which the package's column walk cuts to the columns a diagonal needs;
-- three helpers on lists of rows and on draws of `random.Random`: the
+- helpers on lists of rows and on draws of `random.Random`: the
   element-wise sum of two matrices, the Gram defect max|U^T U - 1| and a
-  normalized random signal.
+  normalized random signal;
+- the judge of one signal through the gate, on tuples of amplitudes: the
+  sign-flipped target c_N -> -c_N and the overlap |<a|b>|^2.  The package
+  judges every signal at once from lambda (`nssgate verify`).
 
 All of it runs on the standard library: ints, `Fraction` and plain floats.
 """
@@ -295,3 +298,14 @@ def random_signal(rng, levels: int) -> tuple:
     c = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(levels)]
     norm = math.sqrt(math.fsum(x * x for z in c for x in (z.real, z.imag)))
     return tuple(z / norm for z in c)
+
+
+def sign_flipped(c: tuple) -> tuple:
+    """The ideal gate output (c_0, ..., c_{N-1}, -c_N) of amplitudes c."""
+    return (*c[:-1], -c[-1])
+
+
+def overlap_squared(a: tuple, b: tuple) -> float:
+    """|<a|b>|^2 (global phase dropped) of two amplitude tuples; tuples of two
+    lengths raise ValueError, where a plain zip would drop the extra levels."""
+    return abs(sum(x.conjugate() * y for x, y in zip(a, b, strict=True))) ** 2

@@ -28,7 +28,7 @@ import pytest
 
 from nssgate.cli import _suite_a, _suite_b, _suite_c, main
 from nssgate.determinants import NodeSet, exact_det
-from nssgate.fock_oracle import SignalState, apply_gate, bs_sector_unitary, fidelity, target_state
+from nssgate.fock_oracle import SignalState, apply_gate, bs_sector_unitary
 from nssgate.gate_solver import (
     BeamSplitter,
     build_coefficient_matrix,
@@ -46,7 +46,9 @@ from reference import (
     jacobi,
     matrix_sum,
     numerator_closed_form,
+    overlap_squared,
     random_signal,
+    sign_flipped,
 )
 
 SEED = 1905
@@ -137,7 +139,7 @@ def test_criterion_5_end_to_end_gate():
         for _ in range(100):
             signal = SignalState(random_signal(rng, N + 1))
             out, prob, _ = apply_gate(signal, sol)
-            worst_fid = max(worst_fid, 1.0 - fidelity(out, target_state(signal)))
+            worst_fid = max(worst_fid, 1.0 - overlap_squared(out.coefficients, sign_flipped(signal.coefficients)))
             worst_p = max(worst_p, abs(prob - 1.0 / N**2))
     elapsed = time.perf_counter() - t0
     ok = worst_fid <= 1e-9 and worst_p <= 1e-8 and elapsed <= 10.0

@@ -14,11 +14,11 @@ import pytest
 import nssgate
 from nssgate.cli import main
 from nssgate.determinants import NodeSet, gapped_vandermonde_S, vandermonde_power
-from nssgate.fock_oracle import SignalState, apply_gate, fidelity, gate_amplitudes, post_select, target_state
+from nssgate.fock_oracle import SignalState, _post_select, apply_gate, gate_amplitudes
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import scan_nodes
-from nssgate.polynomials import spoly_scaled
-from reference import random_signal
+from nssgate.polynomials import spoly_scaled, symmetric_s
+from reference import overlap_squared, random_signal, sign_flipped
 from test_gate_solver import WIDE_40
 
 SEARCH_SETTINGS = ("bisect_tol", "identity_tol")
@@ -75,7 +75,7 @@ class TestSolve:
         for _ in range(3):
             signal = SignalState(random_signal(rng, 10))
             out_state, prob, _ = apply_gate(signal, sol, full=True)
-            assert 1.0 - fidelity(out_state, target_state(signal)) <= 1e-8
+            assert 1.0 - overlap_squared(out_state.coefficients, sign_flipped(signal.coefficients)) <= 1e-8
             assert prob == pytest.approx(s["p"], rel=1e-8)
 
     def test_n1(self, capsys):
@@ -378,7 +378,7 @@ class TestVerify:
 
 class TestWorstCaseRule:
     """verify's two numbers from lambda alone are attained by signals sent through
-    `post_select`, and no other signal exceeds them; on a gate 1e-3 off, so both
+    `_post_select`, and no other signal exceeds them; on a gate 1e-3 off, so both
     sit far above the roundoff of the fidelity."""
 
     N = 6
@@ -401,22 +401,23 @@ class TestWorstCaseRule:
         c = [0.0] * (self.N + 1)
         c[i], c[j] = math.sqrt(M / (m + M)), math.sqrt(m / (m + M))
         signal = SignalState(tuple(c))
-        out, _ = post_select(signal, lam)
-        assert 1.0 - fidelity(out, target_state(signal)) == pytest.approx(doc["max_fidelity_error"], rel=1e-8, abs=0)
+        out, _ = _post_select(signal, lam)
+        error = 1.0 - overlap_squared(out.coefficients, sign_flipped(signal.coefficients))
+        assert error == pytest.approx(doc["max_fidelity_error"], rel=1e-8, abs=0)
 
     def test_a_basis_state_attains_the_prob_error(self, gate):
         lam, doc = gate
         basis = [SignalState(tuple(float(k == l) for l in range(self.N + 1))) for k in range(self.N + 1)]
-        assert max(abs(post_select(e, lam)[1] * self.N**2 - 1) for e in basis) == doc["max_prob_error"]
+        assert max(abs(_post_select(e, lam)[1] * self.N**2 - 1) for e in basis) == doc["max_prob_error"]
 
     def test_no_signal_exceeds_either_number(self, gate):
         lam, doc = gate
         rng = random.Random(5)
         for _ in range(2000):
             signal = SignalState(random_signal(rng, self.N + 1))
-            out, prob = post_select(signal, lam)
+            out, prob = _post_select(signal, lam)
             assert abs(prob * self.N**2 - 1) <= doc["max_prob_error"]
-            assert 1.0 - fidelity(out, target_state(signal)) <= doc["max_fidelity_error"]
+            assert 1.0 - overlap_squared(out.coefficients, sign_flipped(signal.coefficients)) <= doc["max_fidelity_error"]
 
 
 class TestIdentities:
@@ -453,6 +454,16 @@ class TestIdentities:
         reports = json.loads(out)["suites"]["b"]
         failed = {r["identity"] for r in reports if r["pass"] is False and r["max_residual"] > 0}
         assert failed == {"binomial_over_S_basis", "one_gap_binomial_over_S_basis"}
+
+    def test_planted_p_equals_N_error_fails(self, capsys, monkeypatch):
+        # p_equals_N compares integers at the numerator a of x = a/b, so one unit in
+        # s_{N-j}, j < N, fails it; no other identity of suite b calls symmetric_s
+        monkeypatch.setattr(nssgate.cli, "symmetric_s", lambda x, p, j, N: symmetric_s(x, p, j, N) + (j < N))
+        code, out, _ = run(capsys, "identities", "--suite", "b")
+        assert code == 3
+        reports = json.loads(out)["suites"]["b"]
+        failed = [(r["identity"], r["instances"], r["max_residual"]) for r in reports if r["pass"] is False]
+        assert failed == [("p_equals_N_specialization", 100, 1.0)]
 
     def test_suite_c_integer_path_exact(self, capsys):
         code, out, _ = run(capsys, "identities", "--suite", "c")
