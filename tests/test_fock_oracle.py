@@ -289,3 +289,18 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="finite and positive"):
             _post_select(SignalState((math.sqrt(0.5), math.sqrt(0.5))), lam)
 
+
+
+def test_target_and_fidelity_helpers():
+    # the one-signal judge the tests above use: the sign-flipped target and |<a|b>|^2
+    s = SignalState((0.6, 0.8))
+    t = sign_flipped(s.coefficients)
+    assert t == (0.6, -0.8)
+    assert overlap_squared(s.coefficients, s.coefficients) == pytest.approx(1.0)
+    assert overlap_squared(s.coefficients, t) == pytest.approx((0.36 - 0.64) ** 2)
+
+
+def test_fidelity_rejects_a_dimension_mismatch():
+    # zipping the two states would drop the third level and give 1.0
+    with pytest.raises(ValueError):
+        overlap_squared((1.0, 0.0), (1.0, 0.0, 0.0))
