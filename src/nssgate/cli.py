@@ -224,12 +224,13 @@ def _binomial(rng) -> int:
 
 
 def _p_equals_N(rng) -> int:
-    """s_{N-j}(x; N; N) = C(N,j) x^{2(N-j)} times b^{2(N-j)} at x = a/b: the factor (1-x^2)^0 is 1, so the
-    left side is `symmetric_s` at the integer a, exact."""
+    """The S-basis expansion of C(l, N) times b^{2N} at x = a/b, exact: at p = N the factor (1-x^2)^0 is 1, so
+    b^{2(N-j)} s_{N-j}(x; N; N) is `symmetric_s` at the integer a, and (a^2-b^2)^N C(l, N) is the left side."""
     N = rng.randrange(1, 9)
-    j = rng.randrange(0, N + 1)
-    a, _ = _rand_x(rng)
-    return abs(symmetric_s(a, N, j, N) - math.comb(N, j) * a ** (2 * (N - j)))
+    l = rng.randrange(0, 2 * N + 1)
+    a, b = _rand_x(rng)
+    rhs = sum((-1) ** (N - j) * symmetric_s(a, N, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
+    return abs((a * a - b * b) ** N * math.comb(l, N) - rhs)
 
 
 def _one_gap_binomial(rng) -> int:

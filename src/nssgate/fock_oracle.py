@@ -2,14 +2,16 @@
 
 Independent of the secular polynomial and the exact weights of
 `gate_solver`: the columns of the sector unitaries U_M of a+ -> T a+ + r b+,
-b+ -> -r a+ + T b+ are walked one creation operator per photon, column 0 of
-U_M from column 0 of U_{M-1} and column k of U_M from column k-1 of
-U_{M-1}, and the gate is verified end to end by projecting the ancilla back
-onto its input photon number.  A diagonal element <k, n|U|k, n> needs only
-column 0 of U_n and k raising steps, so the gate walks no other column.
-Serves as the oracle for the diagonal matrix elements and for the sign-flip
-rule c_N -> -c_N.  The walk, the amplitudes and the post-selection run on
-plain floats.
+b+ -> -r a+ + T b+ are walked one creation operator per photon.  The
+column-0 chain goes once from column 0 of U_{m-1} to column 0 of U_m, and
+each start is then raised alone, column k of U_M from column k-1 of
+U_{M-1}, so column k of U_M is k raising steps from column 0 of U_{M-k}.
+The gate is verified end to end by projecting the ancilla back onto its
+input photon number: a diagonal element <k, n|U|k, n> needs only column 0
+of U_n and k raising steps, so the gate walks no other column.  Serves as
+the oracle for the diagonal matrix elements and for the sign-flip rule
+c_N -> -c_N.  The walk, the amplitudes and the post-selection run on plain
+floats.
 """
 
 from __future__ import annotations
@@ -57,29 +59,28 @@ class SignalState:
         return len(self.coefficients) - 1
 
 
-def _ladder(flat: list, s: float, up: list, down: list) -> list:
-    """One step of the recursion on a flat list of columns: every entry over s,
-    then entry p is up[p] times entry p-1 plus down[p] times entry p (entry -1
-    is zero), the division, products and sum of the whole-sector recursion
-    (`tests/reference.py`), so each entry is the same float.  zip stops at the
-    shortest of the four."""
+def _ladder(col: list, s: float, up: list, down: list) -> list:
+    """One step of the recursion on a column: every entry over s, then entry
+    p is up[p] times entry p-1 plus down[p] times entry p (entry -1 is zero),
+    the division, products and sum of the whole-sector recursion
+    (`tests/reference.py`), so each entry is the same float.  zip stops at
+    the shortest of the four."""
     v = [0.0]
-    v += [x / s for x in flat]
+    v += [x / s for x in col]
     return [a * x + b * y for a, x, b, y in zip(up, v, down, v[1:])]
 
 
-def _walk(starts, top: int, width: int, bs: BeamSplitter, diagonal: bool = False):
-    """Yield (flat, stride) for i = 0, 1, ..., width - 1: entries 0..width-1 of
-    column i of U_{n+i}, one block of stride entries for each start n with
-    n + i <= top, in plain floats (entry j is level j of the signal mode).
+def _chain(top: int, width: int, last: int, bs: BeamSplitter) -> tuple:
+    """(cols, roots, up, down) for sectors up to top, in plain floats: cols[m]
+    is entries 0..width-1 of column 0 of U_m for m = 0..last (entry j is
+    level j of the signal mode), roots[j] = sqrt(j) for j = 0..top, and entry
+    j of up and entry top - m + j of down are the factors T sqrt(j) and
+    r sqrt(m-j) of a raising step into sector m.
 
     Column 0 of U_m is (-r a+ + T b+) on column 0 of U_{m-1} over sqrt(m), and
-    column i of U_{n+i} is (T a+ + r b+) on column i-1 of U_{n+i-1} over sqrt(i).
-    Entry j of a column takes entries j-1 and j of the one before, so the first
-    width entries need no others.  With diagonal the caller reads entry i of step
-    i alone, which needs entries i..width-1 only, so each block drops its lowest
-    entry at every step.  The starts must increase, so the blocks still going
-    are a prefix, and the first must last every step: starts[0] + width - 1 <= top.
+    column i of U_{m+i} is (T a+ + r b+) on column i-1 of U_{m+i-1} over
+    sqrt(i).  Entry j of a column takes entries j-1 and j of the one before,
+    so the first width entries need no others.
     """
     if top < 0:
         raise ValueError("photon number must be non-negative")
@@ -87,39 +88,23 @@ def _walk(starts, top: int, width: int, bs: BeamSplitter, diagonal: bool = False
         raise ValueError(f"sector M={top} exceeds cap {SECTOR_CAP}")
     roots = [math.sqrt(j) for j in range(top + 1)]
     pad = [0.0] * width
-    r = bs.r
-    # a+ |j-1, m-j> = sqrt(j) |j, m-j> and b+ |j, m-1-j> = sqrt(m-j) |j, m-j>: entry j
-    # of up is T sqrt(j) or r sqrt(j), entry top - m + j of down T sqrt(m-j) or r sqrt(m-j),
-    # zero past j = m
-    t_up, r_up = [bs.T * q for q in roots], [r * q for q in roots]
-    t_down, r_down = t_up[::-1] + pad, r_up[::-1] + pad
-    neg_r_up = [-x for x in r_up]
-    col, flat = [1.0, *pad[1:]], []
-    for m in range(starts[-1] + 1):
-        if m:
-            col = _ladder(col, roots[m], neg_r_up, t_down[top - m :])
-        if m in starts:
-            flat += col
-    live, stride = len(starts), width
-    yield flat, stride
-    for i in range(1, width):
-        while starts[live - 1] + i > top:
-            live -= 1
-        lo = width - stride  # the lowest entry a block holds
-        down = []
-        for n in starts[:live]:
-            down += r_down[top - n - i + lo : top - n - i + width]
-        flat = _ladder(flat[: live * stride], roots[i], t_up[lo:width] * live, down)
-        if diagonal:  # entry lo of a block took the last entry of the block before
-            del flat[::stride]
-            stride -= 1
-        yield flat, stride
+    # a+ |j-1, m-j> = sqrt(j) |j, m-j> and b+ |j, m-1-j> = sqrt(m-j) |j, m-j>, so the
+    # chain's factors are -r sqrt(j) and T sqrt(m-j); each down is zero past j = m
+    t_up, r_up = [bs.T * q for q in roots], [bs.r * q for q in roots]
+    neg_r_up, t_down = [-x for x in r_up], t_up[::-1] + pad
+    cols = [[1.0, *pad[1:]]]
+    for m in range(1, last + 1):
+        cols.append(_ladder(cols[-1], roots[m], neg_r_up, t_down[top - m :]))
+    return cols, roots, t_up, r_up[::-1] + pad
 
 
 def bs_sector_unitary(M: int, bs: BeamSplitter) -> list:
     """The real sector unitary as M+1 rows, u[kp][k] = <kp, M-kp| U |k, M-k>."""
-    # column k is walked from column 0 of U_{M-k}: the last block still going after k steps
-    return [list(row) for row in zip(*(flat[-stride:] for flat, stride in _walk(range(M + 1), M, M + 1, bs)))]
+    cols, roots, up, down = _chain(M, M + 1, M, bs)
+    for m in range(M + 1):  # column 0 of U_m, raised M - m times, is column M - m of U_M
+        for i in range(1, M - m + 1):
+            cols[m] = _ladder(cols[m], roots[i], up, down[M - m - i :])
+    return [list(row) for row in zip(*reversed(cols))]
 
 
 def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
@@ -130,16 +115,26 @@ def gate_amplitudes(sol: GateSolution, full: bool = False) -> tuple:
     times row k of `build_coefficient_matrix` (a2 for k < N, a1 for k = N), for
     any N.  With full=True each diagonal element <k, n|U|k, n> is entry k of
     column k of the sector unitary U_{n+k}, walked from column 0 of U_n by k
-    raising steps for all the nodes at once on entries k..N only (photon-number
-    selection-rule check); the sectors go up to N + max n <= SECTOR_CAP.
+    raising steps on entries k..N only, one node at a time (photon-number
+    selection-rule check); the sectors go up to N + max n <= SECTOR_CAP, and
+    each lambda_k sums its nodes in order from int 0.
     """
     bs = BeamSplitter(sol.T)
     w = [a * g for a, g in zip(sol.alphas, sol.gammas)]
     if full:
-        # post-selected on ancilla photon number n, the signal keeps level k:
-        # <k, n_l|U|k, n_l> leads block l at step k
-        walk = _walk(sol.nodes.values, sol.N + max(sol.nodes), sol.N + 1, bs, diagonal=True)
-        return tuple(sum(wl * d for wl, d in zip(w, flat[::stride])) for flat, stride in walk)
+        N, top = sol.N, sol.N + max(sol.nodes)
+        cols, roots, up, down = _chain(top, N + 1, max(sol.nodes), bs)
+        lam, steps = [0] * (N + 1), [(k, roots[k], up[k:]) for k in range(1, N + 1)]
+        for n, wl in zip(sol.nodes, w):
+            # post-selected on ancilla photon number n, the signal keeps level k:
+            # <k, n|U|k, n> leads the column after step k, which holds entries k..N;
+            # its p-th entry, level k + p of sector n + k, takes the b+ factor r sqrt(n - p)
+            col, dn = cols[n], down[top - n :]
+            lam[0] += wl * col[0]
+            for k, s, u in steps:
+                col = [a * (x / s) + b * (y / s) for a, b, x, y in zip(u, dn, col, col[1:])]
+                lam[k] += wl * col[0]
+        return tuple(lam)
     a1, a2 = build_coefficient_matrix(sol.nodes, bs)
     return tuple(math.fsum(wl * x for wl, x in zip(w, row)) for row in (*a2, a1[0]))
 

@@ -115,9 +115,9 @@ def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
     """The float pair (a1, a2) as lists of rows, a1[kk][l] = <N, n_l|U|N, n_l>
     and a2[kk][l] = <kk, n_l|U|kk, n_l> for stored row index kk = 0..N-1
     (photon level k-1 of the 1-based row k); the coefficient matrix is
-    a = a1 + a2.  The Fock oracle's default `apply_gate` contracts these rows
-    with the weights: a2 gives the amplitudes of levels k < N, a1 that of level
-    N.  T is split into m/q once for all elements (`bs_diagonal_element`)."""
+    a = a1 + a2.  The Fock oracle's default `gate_amplitudes` contracts these
+    rows with the weights: a2 gives the amplitudes of levels k < N, a1 that of
+    level N.  T is split into m/q once for all elements (`bs_diagonal_element`)."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)

@@ -234,8 +234,10 @@ class TestApplyGate:
 
     def test_full_projection_equals_the_whole_sectors(self, small_gates):
         # the column walk takes each element's divisions and products in the
-        # order of the whole-sector recursion, so lambda is the same float
-        for sol in [*small_gates, scan_nodes(NodeSet(GAPPED_14)).best.solution]:
+        # order of the whole-sector recursion, so lambda is the same float; the
+        # minimal gates add N = 1 and N > 6, and (0, 32) walks to the cap
+        extra = [scan_nodes(NodeSet(nodes)).best.solution for nodes in (GAPPED_14, (0, 32))]
+        for sol in [*small_gates, *map(_solve, range(1, 18)), *extra]:
             assert list(gate_amplitudes(sol, full=True)) == _lambda_reference(sol), sol.nodes
 
     def test_full_projection_up_to_the_cap(self):
