@@ -119,26 +119,26 @@ def _write(args, command: str, payload: dict, gates=None) -> None:
     _emit(text, args.out)
 
 
+def _gate(g) -> dict:
+    """The JSON record of one gate: its transmission and p."""
+    return {"T_re": g.T, "T_im": 0.0, "p": g.p}
+
+
 def cmd_solve(args) -> int:
     nodes = NodeSet.minimal(args.n) if args.nodes is None else _parse_nodes(args.nodes)
     report = scan_nodes(nodes)
     sol = report.best.solution  # every node set has its gate
-    solution = {
-        "N": sol.N,
-        "nodes": list(sol.nodes),
-        "T_re": sol.T,
-        "T_im": 0.0,
-        "p": sol.p,
-        "alphas": [[float(a), 0.0] for a in sol.alphas],
-        "gammas": list(sol.gammas),
-    }
-    _write(args, "solve", {"scan": report.to_dict(), "solution": solution}, [sol])
+    entries = [_gate(e.solution) for e in report.entries]
+    scan = {"nodes": list(nodes), "entries": entries, "skipped": [], "best": _gate(sol)}
+    alphas = [[float(a), 0.0] for a in sol.alphas]
+    solution = {**_gate(sol), "N": sol.N, "nodes": list(nodes), "alphas": alphas, "gammas": list(sol.gammas)}
+    _write(args, "solve", {"scan": scan, "solution": solution}, [sol])
     return 0
 
 
 def cmd_sweep(args) -> int:
     rows = sweep(args.n_min, args.n_max)
-    _write(args, "sweep", {"rows": [{"N": r.N, "T_re": r.T, "T_im": 0.0, "p": r.p} for r in rows]}, rows)
+    _write(args, "sweep", {"rows": [{"N": r.N, **_gate(r)} for r in rows]}, rows)
     return 0
 
 
@@ -168,8 +168,6 @@ def _worst_fidelity_error(lam: tuple) -> float:
 
 def cmd_verify(args) -> int:
     N = args.n
-    if N < 1:
-        raise ValueError("need N >= 1")
     sol = scan_nodes(NodeSet.minimal(N)).best.solution  # the minimal set always has its gate
     lam = gate_amplitudes(sol)
     # each signal's p is a convex combination of the lambda_k^2, so a basis state is the worst; relative to 1/N^2,

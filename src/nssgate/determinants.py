@@ -60,6 +60,8 @@ class NodeSet:
     @classmethod
     def minimal(cls, N: int) -> "NodeSet":
         """The lowest admissible choice n_l = l-1, for which the closed forms hold."""
+        if operator.index(N) < 1:
+            raise ValueError("need N >= 1")
         try:
             return cls(tuple(range(N)))
         except OverflowError:  # N past the largest length of a tuple
@@ -86,13 +88,15 @@ def dense_det(matrix) -> float:
 def _real_rows(matrix, who: str) -> list:
     """The rows of a square real matrix as new lists of floats; ValueError for a
     1-D, ragged or non-square input, or an entry of any complex type, NaN or
-    infinite."""
+    infinite; TypeError for a string, bytes or bytearray entry, which `float` would parse."""
     try:
         rows = [list(row) for row in matrix]
     except TypeError:  # a 1-D input's rows are numbers
         raise ValueError("matrix must be square") from None
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
+    if any(isinstance(v, (str, bytes, bytearray)) for row in rows for v in row):
+        raise TypeError(f"{who} takes numbers, not strings")
     if any(isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) for row in rows for v in row):
         raise ValueError(f"{who} takes a real matrix")
     rows = [[float(v) for v in row] for row in rows]
@@ -152,7 +156,7 @@ def vandermonde_S(nodes: NodeSet, x):
     does not."""
     N = len(nodes)
     ratio = Fraction(vandermonde_power(nodes), math.prod(map(math.factorial, range(N))))
-    value = (Fraction(x) ** 2 - 1) ** (N * (N - 1) // 2) * ratio
+    value = (Fraction(*integer_ratio(x)) ** 2 - 1) ** (N * (N - 1) // 2) * ratio
     return float(value) if isinstance(x, float) else value
 
 

@@ -44,12 +44,12 @@ def binomial(a: int, m: int) -> int:
 
 def integer_ratio(x) -> tuple:
     """(a, b), Python ints, with x = a/b exactly and b > 0.  numpy integers have
-    no `as_integer_ratio`, and `Fraction` keeps their type, so they are converted."""
+    no `as_integer_ratio`, so they go through `operator.index`; a string, which
+    `Fraction` would parse, raises TypeError."""
     try:
         return x.as_integer_ratio()
     except AttributeError:
-        f = Fraction(x)
-        return int(f.numerator), int(f.denominator)
+        return operator.index(x), 1
 
 
 def spoly_scaled(k: int, a: int, b: int, n: int) -> int:

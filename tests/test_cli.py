@@ -160,6 +160,19 @@ class TestSolve:
         assert sol["p"] == pytest.approx(1.0250946808188e-10, rel=1e-14, abs=0)
         assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_best_gate_ranked_past_the_float_range(self, capsys):
+        # both roots' p underflow to 0.0 as floats; the best gate, in scan.best and in
+        # solution, is the root of larger 34-digit p, at T > 0 (test_optimizer ranks the same)
+        nodes = sorted(random.Random(2).sample(range(495), 450))
+        code, out, _ = run(capsys, "solve", "--nodes", ",".join(map(str, nodes)))
+        assert code == 0
+        doc = json.loads(out)
+        entries = doc["scan"]["entries"]
+        assert [e["p"] for e in entries] == [0.0, 0.0]
+        assert entries[0]["T_re"] < 0 < entries[1]["T_re"]
+        assert doc["scan"]["best"] == entries[1]
+        assert doc["solution"]["T_re"] == entries[1]["T_re"] and doc["solution"]["p"] == 0.0
+
     @pytest.mark.parametrize("nodes", [f"0,{10**320}", f"0,1,{10**200}"], ids=["n2", "n3"])
     def test_photon_numbers_beyond_float_range_exit_1(self, capsys, nodes):
         # T^n of these photon numbers leaves even the decimal exponent range
@@ -346,9 +359,11 @@ class TestVerify:
         assert doc["max_prob_error"] <= 1e-13 and doc["max_fidelity_error"] <= 1e-27
         assert _meets_closed_forms(N, doc["T_re"], 1 / N**2)
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("n", ["0", "-2"])
-    def test_n_below_1_exit_1(self, capsys, n):
-        assert run(capsys, "verify", "--n", n) == (1, "", "error: need N >= 1\n")
+    def test_n_below_1_exit_1(self, capsys, command, n):
+        # NodeSet.minimal owns the rule, so every command that takes --n says the same
+        assert run(capsys, command, "--n", n) == (1, "", "error: need N >= 1\n")
 
     @pytest.mark.parametrize(
         "change, failed",

@@ -16,6 +16,8 @@ from nssgate.determinants import (
     vandermonde_S,
     vandermonde_power,
 )
+from nssgate.gate_solver import cofactors
+from nssgate.polynomials import spoly_eval, spoly_eval_exact
 from reference import matrix_sum
 
 SEED = 977
@@ -50,6 +52,25 @@ class TestNodeSet:
         np = pytest.importorskip("numpy", exc_type=ImportError)
         ns = NodeSet((np.int64(0), np.int32(3)))
         assert ns.values == (0, 3) and all(type(v) is int for v in ns)
+
+
+NUMERIC_STRINGS = {
+    "spoly_eval": lambda: spoly_eval(2, "0.5", 2),
+    "spoly_eval_exact": lambda: spoly_eval_exact(2, "0.5", 2),
+    "exact_det": lambda: exact_det([["1/2"]]),
+    "dense_det_bytes": lambda: dense_det([[b"2"]]),
+    "dense_det_bytearray": lambda: dense_det([[bytearray(b"2")]]),
+    "vandermonde_S": lambda: vandermonde_S(NodeSet((0, 1)), "0.5"),
+    "spoly_matrix": lambda: spoly_matrix(NodeSet((0, 1)), "0.5"),
+    "cofactors": lambda: cofactors([["1", "2"], ["3", "4"]], 0),
+}
+
+
+@pytest.mark.parametrize("call", NUMERIC_STRINGS.values(), ids=NUMERIC_STRINGS)
+def test_numeric_strings_are_not_numbers(call):
+    # as in NodeSet, BeamSplitter and SignalState: a string is never parsed as a number
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestDenseDet:

@@ -395,7 +395,7 @@ class TestSecularPolynomial:
     def test_shifted_pairs_best_gate(self):
         # the best gate of {m, m+1} is T = -sqrt(m/(m+2)) with p = [|T|^m (1+|T|)/2]^2
         for m in range(1, 41):
-            best = scan_nodes(NodeSet((m, m + 1))).best
+            best = scan_nodes(NodeSet((m, m + 1))).best.solution
             t = math.sqrt(m / (m + 2))
             assert best.T == pytest.approx(-t, rel=1e-13, abs=0), m
             assert best.p == pytest.approx((t**m * (1 + t) / 2) ** 2, rel=1e-13, abs=0), m
@@ -425,7 +425,7 @@ class TestSecularPolynomial:
                 report = scan_nodes(NodeSet(nodes))
                 assert report.best is not None, nodes
                 if nodes != tuple(range(N)):
-                    assert any(0 < e.T < 1 for e in report.entries), nodes
+                    assert any(0 < e.solution.T < 1 for e in report.entries), nodes
 
     def test_equals_the_binomial_sum_reference(self):
         # every N = 1..8 set in 0..N+3, and seeded larger sets
@@ -898,7 +898,7 @@ class TestSuccessProbability:
         want = sign_flipped((1.0,) * (len(nodes) + 1))
         for e in report.entries:
             lam = gate_amplitudes(e.solution)
-            assert max(abs(x / math.sqrt(e.p) - y) for x, y in zip(lam, want)) <= 1e-10, e.T
+            assert max(abs(x / math.sqrt(e.solution.p) - y) for x, y in zip(lam, want)) <= 1e-10, e.solution.T
 
 
 class TestClosedFormRatio:
