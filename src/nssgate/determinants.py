@@ -88,15 +88,16 @@ def dense_det(matrix) -> float:
 def _real_rows(matrix, who: str) -> list:
     """The rows of a square real matrix as new lists of floats; ValueError for a
     1-D, ragged or non-square input, or an entry of any complex type, NaN or
-    infinite; TypeError for a string, bytes or bytearray entry, which `float` would parse."""
+    infinite; TypeError for an entry that is not a number, such as a string or
+    a buffer, which `float` would parse."""
     try:
         rows = [list(row) for row in matrix]
     except TypeError:  # a 1-D input's rows are numbers
         raise ValueError("matrix must be square") from None
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    if any(isinstance(v, (str, bytes, bytearray)) for row in rows for v in row):
-        raise TypeError(f"{who} takes numbers, not strings")
+    if not all(isinstance(v, numbers.Number) for row in rows for v in row):
+        raise TypeError(f"{who} takes numbers, not strings or buffers")
     if any(isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) for row in rows for v in row):
         raise ValueError(f"{who} takes a real matrix")
     rows = [[float(v) for v in row] for row in rows]

@@ -60,9 +60,11 @@ NUMERIC_STRINGS = {
     "exact_det": lambda: exact_det([["1/2"]]),
     "dense_det_bytes": lambda: dense_det([[b"2"]]),
     "dense_det_bytearray": lambda: dense_det([[bytearray(b"2")]]),
+    "dense_det_memoryview": lambda: dense_det([[memoryview(b"2")]]),
     "vandermonde_S": lambda: vandermonde_S(NodeSet((0, 1)), "0.5"),
     "spoly_matrix": lambda: spoly_matrix(NodeSet((0, 1)), "0.5"),
     "cofactors": lambda: cofactors([["1", "2"], ["3", "4"]], 0),
+    "cofactors_memoryview": lambda: cofactors([[memoryview(b"1"), 2], [3, 4]], 0),
 }
 
 
