@@ -88,8 +88,7 @@ def dense_det(matrix) -> float:
 def _real_rows(matrix, who: str) -> list:
     """The rows of a square real matrix as new lists of floats; ValueError for a
     1-D, ragged or non-square input, or an entry of any complex type, NaN or
-    infinite; TypeError for an entry that is not a number, such as a string or
-    a buffer, which `float` would parse."""
+    infinite; TypeError for a non-number entry, such as a string or buffer `float` parses."""
     try:
         rows = [list(row) for row in matrix]
     except TypeError:  # a 1-D input's rows are numbers
