@@ -36,6 +36,7 @@ from .optimizer import scan_nodes, sweep
 from .polynomials import (
     gapped_binomial_expand,
     oneq_coefficient,
+    spoly_column,
     spoly_scaled,
     symmetric_s,
 )
@@ -217,7 +218,8 @@ def _binomial(rng) -> int:
     l = rng.randrange(0, 2 * N + 1)
     a, b = _rand_x(rng)
     a2, d = a * a, b * b - a * a
-    rhs = sum((-1) ** (N - j) * math.comb(p, j) * a2 ** (p - j) * spoly_scaled(j, a, b, l) for j in range(p + 1))
+    s = spoly_column(p, a, b, l)
+    rhs = sum((-1) ** (N - j) * math.comb(p, j) * a2 ** (p - j) * s[j] for j in range(p + 1))
     return abs((-d) ** N * math.comb(l, p) - d ** (N - p) * rhs)
 
 
@@ -227,7 +229,8 @@ def _p_equals_N(rng) -> int:
     N = rng.randrange(1, 9)
     l = rng.randrange(0, 2 * N + 1)
     a, b = _rand_x(rng)
-    rhs = sum((-1) ** (N - j) * symmetric_s(a, N, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
+    s = spoly_column(N, a, b, l)
+    rhs = sum((-1) ** (N - j) * symmetric_s(a, N, j, N) * s[j] for j in range(N + 1))
     return abs((a * a - b * b) ** N * math.comb(l, N) - rhs)
 
 
@@ -238,7 +241,8 @@ def _one_gap_binomial(rng) -> int:
     q = rng.randrange(0, N + 1)
     l = rng.randrange(0, 2 * N + 3)
     a, b = _rand_x(rng)
-    rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * spoly_scaled(j, a, b, l) for j in range(N + 1))
+    s = spoly_column(N, a, b, l)
+    rhs = sum((-1) ** (N - j) * oneq_coefficient(a, b, q, j, N) * s[j] for j in range(N + 1))
     return abs((a * a - b * b) ** N * gapped_binomial_expand(N + 1, q, l) - rhs)
 
 

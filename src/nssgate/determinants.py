@@ -5,8 +5,9 @@ scaled to integers once, by the lcm of its denominators, and Bareiss's
 fraction-free elimination (Math. Comp. 22, 565 (1968)) runs on the integers,
 where every division is exact.  `spoly_det` is the determinant of the
 S-basis matrix at x = a/b on `spoly_scaled`'s scale: row k shares the
-denominator b^{2k}, so Bareiss runs on the integer rows `spoly_scaled` gives
-and returns b^{N(N-1)} times the determinant, an integer with no `Fraction`.
+denominator b^{2k}, so Bareiss runs on the integers `spoly_column` gives,
+one column per node, and returns b^{N(N-1)} times the determinant, an
+integer with no `Fraction`.
 Then the gapped Vandermondians that the `identities` suites check, the
 S-basis one on the same scale, and `dense_det`, the
 `exact_det` of a float matrix rounded once to a float, which no module calls:
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import integer_ratio, spoly_scaled
+from .polynomials import integer_ratio, spoly_column, spoly_scaled
 
 __all__ = [
     "NodeSet",
@@ -171,8 +172,8 @@ def spoly_matrix(nodes: NodeSet, x, exact: bool = False):
 
 def spoly_det(nodes: NodeSet, a: int, b: int) -> int:
     """b^{N(N-1)} det[S_k^{(a/b)}(n_l)], k = 0..N-1: Bareiss on the integer
-    rows `spoly_scaled` gives, row k being b^{2k} times the S-basis row."""
-    return _bareiss([[spoly_scaled(k, a, b, n) for n in nodes] for k in range(len(nodes))])
+    rows b^{2k} times the S-basis row, from one `spoly_column` per node."""
+    return _bareiss([list(row) for row in zip(*(spoly_column(len(nodes) - 1, a, b, n) for n in nodes))])
 
 
 def gapped_vandermonde(N: int, gap: int) -> int:

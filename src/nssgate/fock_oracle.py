@@ -90,7 +90,8 @@ def _chain(top: int, width: int, last: int, bs: BeamSplitter) -> tuple:
     pad = [0.0] * width
     # a+ |j-1, m-j> = sqrt(j) |j, m-j> and b+ |j, m-1-j> = sqrt(m-j) |j, m-j>, so the
     # chain's factors are -r sqrt(j) and T sqrt(m-j); each down is zero past j = m
-    t_up, r_up = [bs.T * q for q in roots], [bs.r * q for q in roots]
+    t, r = bs.T, bs.r
+    t_up, r_up = [t * q for q in roots], [r * q for q in roots]
     neg_r_up, t_down = [-x for x in r_up], t_up[::-1] + pad
     cols = [[1.0, *pad[1:]]]
     for m in range(1, last + 1):

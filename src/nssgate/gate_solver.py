@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .determinants import NodeSet, _real_rows, exact_det
-from .polynomials import spoly_scaled
+from .polynomials import spoly_column, spoly_scaled
 
 __all__ = [
     "BeamSplitter",
@@ -100,12 +100,12 @@ def bs_diagonal_element(k: int, n: int, bs: BeamSplitter) -> float:
     t = bs.T
     if t == 0 and n < k:
         raise ValueError("element has a pole at T = 0 for n < k")
-    return _diagonal_element(k, n, *t.as_integer_ratio())
+    m, q = t.as_integer_ratio()
+    return _diagonal_element(k, n, m, q, spoly_scaled(k, m, q, n))
 
 
-def _diagonal_element(k: int, n: int, m: int, q: int) -> float:
-    """T^{n-k} S_k^{(T)}(n) at T = m/q, m != 0 if n < k, as one quotient."""
-    s = spoly_scaled(k, m, q, n)
+def _diagonal_element(k: int, n: int, m: int, q: int, s: int) -> float:
+    """T^{n-k} S_k^{(T)}(n) at T = m/q, m != 0 if n < k, from s = q^{2k} S_k^{(T)}(n), as one quotient."""
     if n >= k:
         return m ** (n - k) * s / q ** (n + k)
     return s / (m ** (k - n) * q ** (k + n))
@@ -117,13 +117,15 @@ def build_coefficient_matrix(nodes: NodeSet, bs: BeamSplitter) -> tuple:
     (photon level k-1 of the 1-based row k); the coefficient matrix is
     a = a1 + a2.  The Fock oracle's default `gate_amplitudes` contracts these
     rows with the weights: a2 gives the amplitudes of levels k < N, a1 that of
-    level N.  T is split into m/q once for all elements (`bs_diagonal_element`)."""
+    level N.  T is split into m/q once for all elements, each node takes one
+    `spoly_column` k = 0..N, and each element is `bs_diagonal_element`'s quotient."""
     if bs.T == 0:
         raise ValueError("T = 0 is excluded (poles in the matrix elements)")
     N = len(nodes)
     m, q = bs.T.as_integer_ratio()
-    top = [_diagonal_element(N, n, m, q) for n in nodes]
-    return [top[:] for _ in range(N)], [[_diagonal_element(kk, n, m, q) for n in nodes] for kk in range(N)]
+    cols = ([_diagonal_element(k, n, m, q, s) for k, s in enumerate(spoly_column(N, m, q, n))] for n in nodes)
+    rows = [list(row) for row in zip(*cols)]
+    return [rows[N][:] for _ in range(N)], rows[:N]
 
 
 def optimal_transmission(N: int) -> float:

@@ -6,14 +6,17 @@ that reparametrize P_k^{(0,n-k)}(2x^2-1).  At integer n, negative n included
 
     S_k^{(x)}(n) = sum_j (-1)^j C(k,j) C(n,j) x^{2(k-j)} (1-x^2)^j.
 
-For x = a/b, b^{2k} S_k^{(x)}(n) is one integer (`spoly_scaled`), the
-package's one S kernel: the binomial products come from their ratio
-recurrence and the sum from homogeneous Horner in a^2 and b^2-a^2, with no
-`Fraction`, `math.comb` or power per term.  `spoly_eval_exact` wraps it in one
-`Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
-beam-splitter diagonal element of `gate_solver` is T^{n-k} S_k^{(T)}(n), one
-more quotient.  The `identities` suites check the recursion and both S-basis
-expansions on `spoly_scaled`'s integers, with `oneq_coefficient` and
+For x = a/b, b^{2k} S_k^{(x)}(n) is one integer, defined by `spoly_scaled`:
+the binomial products come from their ratio recurrence and the sum from
+homogeneous Horner in a^2 and b^2-a^2, with no `Fraction`, `math.comb` or
+power per term.  It gives every single value: `spoly_eval_exact` wraps it in
+one `Fraction`, `spoly_eval` rounds it once by an integer quotient, and the
+beam-splitter diagonal element of `gate_solver` is one more quotient.
+`spoly_column` gives a whole column k = 0..K from the Jacobi three-term
+recurrence in k, K exact divisions where K + 1 sums take O(K^2) steps; the
+coefficient matrix, `spoly_det` and the `identities` S-basis expansions take
+their S values from it.  The `identities` suites check the recurrence on
+`spoly_scaled`'s integers, with `oneq_coefficient` and
 `gapped_binomial_expand` scaled alike, so no check normalises a `Fraction`.
 """
 
@@ -27,6 +30,7 @@ __all__ = [
     "binomial",
     "integer_ratio",
     "spoly_scaled",
+    "spoly_column",
     "spoly_eval",
     "spoly_eval_exact",
     "symmetric_s",
@@ -71,6 +75,27 @@ def spoly_scaled(k: int, a: int, b: int, n: int) -> int:
         dpow *= d
         acc = acc * a2 + c * dpow
     return acc * a2 ** (k - top)
+
+
+def spoly_column(K: int, a: int, b: int, n: int) -> list:
+    """[b^{2k} S_k^{(a/b)}(n) for k = 0..K], each the integer `spoly_scaled`
+    gives, from the three-term recurrence of P_k^{(0,n-k)}(2x^2-1) at x = a/b,
+
+        k s_k = [(a^2-b^2)(n+k) + (2k-1) b^2] s_{k-1} - (k-1) a^2 b^2 s_{k-2},
+
+    with s_0 = 1: one exact division by k a step.  K and n are checked as in
+    `spoly_scaled`."""
+    K, n = operator.index(K), operator.index(n)
+    if K < 0:
+        raise ValueError("order K must be non-negative")
+    a2, b2 = a * a, b * b
+    d, ab = a2 - b2, a2 * b2
+    prev, cur = 0, 1
+    col = [cur]
+    for k in range(1, K + 1):
+        prev, cur = cur, ((d * (n + k) + (2 * k - 1) * b2) * cur - (k - 1) * ab * prev) // k
+        col.append(cur)
+    return col
 
 
 def spoly_eval(k: int, x, n: int) -> float:
@@ -136,6 +161,11 @@ def oneq_coefficient(a: int, b: int, q: int, j: int, N: int) -> int:
         raise ValueError("need 0 <= q <= N")
     if not 0 <= j <= N:
         raise ValueError("need 0 <= j <= N")
-    a2, d = a * a, b * b - a * a
-    rs = range(max(q, j), N + 1)
-    return sum((-1) ** (N - r) * math.comb(r, q) * math.comb(r, j) * a2 ** (r - j) * d ** (N - r) for r in rs)
+    a2, nd = a * a, a * a - b * b
+    top = max(q, j)
+    # homogeneous Horner over r = N down to top: in a^2 and in -(b^2-a^2), which carries (-1)^{N-r}
+    acc, ndpow = 0, 1
+    for r in range(N, top - 1, -1):
+        acc = acc * a2 + math.comb(r, q) * math.comb(r, j) * ndpow
+        ndpow *= nd
+    return acc * a2 ** (top - j)

@@ -6,7 +6,7 @@ C(n_l, j).  What is kept here is the paper's own route to p = 1/N^2 for the
 minimal nodes {0..N-1}, so that the tests can hold the package to it:
 
 - the exact coefficient matrix, built on S from the three-term recursion
-  rather than the package's S sum, and the closed forms of det(a), the
+  in Fractions rather than the package's integers, and the closed forms of det(a), the
   last-row cofactors and the numerator and denominator of p;
 - the secular polynomial from its binomial sums, the route the package's
   difference table and Horner passes replace;
@@ -15,7 +15,8 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
 - the bisection of an isolated root with an exact sign at every midpoint,
   which the package replays from a float root and a two-sign certificate;
 - the Jacobi polynomials P_k^{(0,beta)}, the explicit coefficients of S_k^{(x)}
-  as a polynomial in n, and the weight sequences s_l in both forms;
+  as a polynomial in n, the weight sequences s_l in both forms, and the
+  gap-q expansion coefficient summed term by term;
 - every Fock sector unitary U_0..U_M built whole, one sector from the last,
   which the package's column walk cuts to the columns a diagonal needs;
 - helpers on lists of rows and on draws of `random.Random`: the
@@ -128,12 +129,21 @@ def partial_binomial_sum(j: int, N: int, T: float) -> float:
 
 def spoly_column_exact(K: int, x, n: int) -> list:
     """[S_0, ..., S_K] at (x, n) in Fractions: S_0 = 1, S_1 = (x^2-1)(n+1) + 1,
-    then the three-term recursion, which shares nothing with the package's S sum."""
+    then the three-term recursion, which shares nothing with the package's S sum
+    (`spoly_scaled`); `spoly_column` walks the same recursion on integers."""
     x2 = Fraction(x) ** 2
     out = [Fraction(0), Fraction(1)]  # S_{-1} = 0 starts the recursion at k = 1
     for k in range(1, K + 1):
         out.append((((x2 - 1) * (n + k) + 2 * k - 1) * out[-1] - (k - 1) * x2 * out[-2]) / k)
     return out[1:]
+
+
+def oneq_coefficient_reference(a: int, b: int, q: int, j: int, N: int) -> int:
+    """`oneq_coefficient` term by term, a power of a^2 and of b^2-a^2 in each:
+    sum_{r >= max(q, j)} (-1)^{N-r} C(r,q) C(r,j) a^{2(r-j)} (b^2-a^2)^{N-r}."""
+    a2, d = a * a, b * b - a * a
+    rs = range(max(q, j), N + 1)
+    return sum((-1) ** (N - r) * math.comb(r, q) * math.comb(r, j) * a2 ** (r - j) * d ** (N - r) for r in rs)
 
 
 def coefficient_matrix_exact(nodes: NodeSet, T):

@@ -17,7 +17,7 @@ from nssgate.determinants import NodeSet, gapped_vandermonde_S, vandermonde_powe
 from nssgate.fock_oracle import SignalState, _post_select, apply_gate, gate_amplitudes
 from nssgate.gate_solver import GateSolution
 from nssgate.optimizer import scan_nodes
-from nssgate.polynomials import spoly_scaled, symmetric_s
+from nssgate.polynomials import spoly_column, spoly_scaled, symmetric_s
 from reference import overlap_squared, random_signal, sign_flipped
 from test_gate_solver import WIDE_40
 
@@ -463,7 +463,7 @@ class TestIdentities:
 
     def test_planted_suite_b_error_fails(self, capsys, monkeypatch):
         # one unit in b^{2j} S_j, j >= 1, is below any relative float bound at x = a/1000
-        monkeypatch.setattr(nssgate.cli, "spoly_scaled", lambda k, a, b, n: spoly_scaled(k, a, b, n) + (k >= 1))
+        monkeypatch.setattr(nssgate.cli, "spoly_column", lambda K, a, b, n: [s + (j >= 1) for j, s in enumerate(spoly_column(K, a, b, n))])
         code, out, _ = run(capsys, "identities", "--suite", "b")
         assert code == 3
         reports = json.loads(out)["suites"]["b"]
@@ -487,6 +487,18 @@ class TestIdentities:
         assert code == 0
         doc = json.loads(out)
         assert [r["max_residual"] for r in doc["suites"]["c"]] == [0.0, 0.0, 0.0]
+
+    def test_planted_S_column_error_fails(self, capsys, monkeypatch):
+        # n units in b^{2k} S_k, k >= 1, of spoly_det's column at node n fail both S-basis
+        # determinants; the power-basis one reads no S value.  The same units at every
+        # node would add row 0, all ones, to each row k >= 1 and leave the determinant
+        monkeypatch.setattr(
+            nssgate.determinants, "spoly_column", lambda K, a, b, n: [s + (k >= 1) * n for k, s in enumerate(spoly_column(K, a, b, n))]
+        )
+        code, out, _ = run(capsys, "identities", "--suite", "c")
+        assert code == 3
+        failed = {r["identity"] for r in json.loads(out)["suites"]["c"] if r["pass"] is False and r["max_residual"] > 0}
+        assert failed == {"gapped_vandermonde_S_basis", "S_basis_product_rule"}
 
     @staticmethod
     def _plant_in_product_rule(monkeypatch, change):
@@ -599,6 +611,8 @@ PINNED_OUTPUTS = {
     "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "5ddb9e9de49f162a49ec9b1d4e9daa42756b0b50007796d87cbf55b8d08b4d5b"),
     # the worst case of every signal, read from lambda: no draw, so no seed
     "verify_14": (("verify", "--n", "14"), "3ffd4787ca406d4cfec4b50b2d502ea7cc1bfa8cfa5d6f964641f534b4ead6a0"),
+    # a coefficient matrix of 100 spoly_column columns, each k = 0..100
+    "verify_100": (("verify", "--n", "100"), "8ec0f5de1b2b1c42560bdf38b7780c0cd33d60a0cd70b5120bfd11dac63dcc2b"),
 }
 
 

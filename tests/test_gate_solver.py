@@ -215,6 +215,22 @@ class TestCoefficientMatrix:
                 assert a2[kk][l] == pytest.approx(bs_diagonal_element(kk, n, bs).real, rel=1e-12)
                 assert a1[kk][l] == pytest.approx(bs_diagonal_element(4, n, bs).real, rel=1e-12)
 
+    def test_elements_are_bs_diagonal_element(self):
+        # each node's spoly_column gives, element by element, the bits of the
+        # single-element path: at the roots of minimal N = 1..40 and of the gapped
+        # N = 14 set, and at four more T on that set and on minimal N = 14
+        cases = [(NodeSet.minimal(N), find_transmission(NodeSet.minimal(N))) for N in range(1, 41)]
+        extra = [0.3, -0.7, 0.99, 1 - math.sqrt(2)]
+        cases += [(NodeSet(GAPPED[-1]), find_transmission(NodeSet(GAPPED[-1])) + extra), (NodeSet.minimal(14), extra)]
+        for nodes, ts in cases:
+            N = len(nodes)
+            for T in ts:
+                bs = BeamSplitter(T)
+                a1, a2 = build_coefficient_matrix(nodes, bs)
+                want = [[bs_diagonal_element(k, n, bs).hex() for n in nodes] for k in range(N + 1)]
+                assert [[v.hex() for v in row] for row in a2] == want[:N], (nodes, T)
+                assert [[v.hex() for v in row] for row in a1] == want[N:] * N, (nodes, T)
+
     def test_rejects_zero_transmission(self):
         with pytest.raises(ValueError):
             build_coefficient_matrix(NodeSet.minimal(2), BeamSplitter(0.0))

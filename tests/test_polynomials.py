@@ -9,6 +9,7 @@ from nssgate.polynomials import (
     binomial,
     gapped_binomial_expand,
     oneq_coefficient,
+    spoly_column,
     spoly_eval,
     spoly_eval_exact,
     spoly_scaled,
@@ -18,6 +19,7 @@ from reference import (
     SPoly,
     elementary_sigma,
     jacobi,
+    oneq_coefficient_reference,
     partial_binomial_sum,
     spoly_column_exact,
     weight_sequence,
@@ -127,12 +129,34 @@ def test_spoly_rejects_non_integer_photon_number():
     for f in (spoly_eval, spoly_eval_exact):
         with pytest.raises(TypeError):
             f(3, 0.5, 2.0)  # an integral float is not a photon number either
+    for f in (spoly_scaled, spoly_column):
+        for n in (Fraction(5, 2), 2.5, 2.0):
+            with pytest.raises(TypeError):
+                f(3, 1, 2, n)
+        with pytest.raises(TypeError):
+            f(3.0, 1, 2, 2)
 
 
 def test_spoly_rejects_negative_order():
     for f in (spoly_eval, spoly_eval_exact):
         with pytest.raises(ValueError):
             f(-1, 0.5, 3)
+    for f in (spoly_scaled, spoly_column):
+        with pytest.raises(ValueError):
+            f(-1, 1, 2, 3)
+
+
+def test_spoly_column_is_spoly_scaled():
+    # the recurrence gives each integer of the sum: at x = 0 and +-1, negative a,
+    # b of 1, 7, 999 and 1000, n < 0 and 0 <= n < K (the sum's terms past j = n
+    # vanish), and K = 0 and 1
+    rng = random.Random(SEED)
+    cases = [(K, a, b, n) for K in (0, 1, 2, 9) for a, b in ((0, 1), (1, 1), (-1, 1), (-3, 7)) for n in (-4, 0, 1, 5)]
+    for _ in range(300):
+        b = rng.choice((1, 7, 999, 1000))
+        cases.append((rng.randrange(0, 30), rng.randrange(-b, b + 1), b, rng.randrange(-20, 40)))
+    for K, a, b, n in cases:
+        assert spoly_column(K, a, b, n) == [spoly_scaled(k, a, b, n) for k in range(K + 1)], (K, a, b, n)
 
 
 def test_numpy_integer_order_and_photon_number():
@@ -144,6 +168,8 @@ def test_numpy_integer_order_and_photon_number():
         for kk, n in ((np.int64(k), 20), (k, np.int64(20)), (np.int64(k), np.int64(20))):
             got = spoly_scaled(kk, 3, 10, n)
             assert type(got) is int and got == spoly_scaled(k, 3, 10, 20)
+            got = spoly_column(kk, 3, 10, n)
+            assert all(type(v) is int for v in got) and got == spoly_column(k, 3, 10, 20)
             got = spoly_eval(kk, 0.3, n)
             assert type(got) is float and got == spoly_eval(k, 0.3, 20)
             got = spoly_eval_exact(kk, Fraction(3, 10), n)
@@ -281,6 +307,18 @@ def test_one_gap_expansion_over_s_basis():
                 lhs = (x * x - 1) ** N * Fraction(gapped_binomial_expand(N + 1, q, l), (N + 1) * math.comb(N, q))
                 rhs = sum((-1) ** (N - j) * s[j] * spoly_eval_exact(j, x, l) for j in range(N + 1))
                 assert lhs == rhs, (N, q, l, x)
+
+
+def test_oneq_coefficient_equals_the_term_by_term_sum():
+    # Horner over r gives the integer of the sum with a power in each term, at
+    # x = 0 and +-1, negative a, every q and j, and N = 0
+    rng = random.Random(SEED)
+    xs = [(0, 1), (1, 1), (-1, 1)] + [(rng.randrange(-999, 1000), 1000) for _ in range(20)]
+    for a, b in xs:
+        for N in range(0, 9):
+            for q in range(N + 1):
+                for j in range(N + 1):
+                    assert oneq_coefficient(a, b, q, j, N) == oneq_coefficient_reference(a, b, q, j, N), (a, b, q, j, N)
 
 
 def test_gapped_binomial_examples():
