@@ -111,7 +111,7 @@ def _write(args, command: str, payload: dict, gates=None) -> None:
         text = "N,T,p\n" + "".join(f"{g.N},{_fmt(g.T)},{_fmt(g.p)}\n" for g in gates)
     else:
         art = {
-            "schema": 7,
+            "schema": 8,
             "version": __version__,
             "command": command,
             "tolerances": {"bisect_tol": BISECT_TOL, "identity_tol": IDENTITY_TOL},
@@ -129,11 +129,8 @@ def cmd_solve(args) -> int:
     nodes = NodeSet.minimal(args.n) if args.nodes is None else _parse_nodes(args.nodes)
     report = scan_nodes(nodes)
     sol = report.best.solution  # every node set has its gate
-    entries = [_gate(e.solution) for e in report.entries]
-    scan = {"nodes": list(nodes), "entries": entries, "skipped": [], "best": _gate(sol)}
-    alphas = [[float(a), 0.0] for a in sol.alphas]
-    solution = {**_gate(sol), "N": sol.N, "nodes": list(nodes), "alphas": alphas, "gammas": list(sol.gammas)}
-    _write(args, "solve", {"scan": scan, "solution": solution}, [sol])
+    solution = {**_gate(sol), "N": sol.N, "nodes": list(nodes), "alphas": list(sol.alphas)}  # gammas = |alphas|
+    _write(args, "solve", {"entries": [_gate(e.solution) for e in report.entries], "solution": solution}, [sol])
     return 0
 
 
@@ -352,8 +349,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

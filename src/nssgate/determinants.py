@@ -9,10 +9,8 @@ denominator b^{2k}, so Bareiss runs on the integers `spoly_column` gives,
 one column per node, and returns b^{N(N-1)} times the determinant, an
 integer with no `Fraction`.
 Then the gapped Vandermondians that the `identities` suites check, the
-S-basis one on the same scale, and `dense_det`, the
-`exact_det` of a float matrix rounded once to a float, which no module calls:
-it stays in the package only because perfbench/run.py traces it by its module
-path.
+S-basis one on the same scale, and `dense_det`, which no module calls: it
+stays in the package only because perfbench/run.py traces it by its module path.
 """
 
 from __future__ import annotations

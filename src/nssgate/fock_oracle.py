@@ -1,17 +1,15 @@
 """Two-mode Fock-space beam-splitter simulator.
 
-Independent of the secular polynomial and the exact weights of
-`gate_solver`: the columns of the sector unitaries U_M of a+ -> T a+ + r b+,
-b+ -> -r a+ + T b+ are walked one creation operator per photon.  The
-column-0 chain goes once from column 0 of U_{m-1} to column 0 of U_m, and
-each start is then raised alone, column k of U_M from column k-1 of
-U_{M-1}, so column k of U_M is k raising steps from column 0 of U_{M-k}.
-The gate is verified end to end by projecting the ancilla back onto its
-input photon number: a diagonal element <k, n|U|k, n> needs only column 0
-of U_n and k raising steps, so the gate walks no other column.  Serves as
-the oracle for the diagonal matrix elements and for the sign-flip rule
-c_N -> -c_N.  The walk, the amplitudes and the post-selection run on plain
-floats.
+A gate's amplitude lambda_k is its weights alpha_l gamma_l from `gate_solver`
+contracted with the diagonal elements <k, n|U|k, n>.  The default path, which
+`nssgate verify` runs, takes the elements from `build_coefficient_matrix`, the
+solver's own exact S-polynomial elements; only the full=True walk forms them
+apart from `gate_solver`, walking the columns of the sector unitaries U_M of
+a+ -> T a+ + r b+, b+ -> -r a+ + T b+ one creation operator per photon.  The
+column-0 chain goes once from column 0 of U_{m-1} to column 0 of U_m, and each
+start is then raised alone: column k of U_M is k raising steps from column 0
+of U_{M-k}, so a diagonal element needs only column 0 of U_n and k raising
+steps.  Both paths run on plain floats and check the sign-flip rule c_N -> -c_N.
 """
 
 from __future__ import annotations

@@ -150,6 +150,14 @@ def secular_polynomial(nodes: NodeSet) -> list:
     N + 1 Horner passes "times (1+t), add (-1)^j z_j at t^j" give g(t) =
     sum_{j<=N} z_j (-t)^j (1+t)^{N-j}, and N passes "times (t-1)" over its
     nonzero coefficients give N! P = 2 N! t^N + (t-1)^N g(t).
+
+    P has exactly one root in 0 < t < 1, a simple one, unless the nodes are
+    minimal, where it has none.  N! z_j = (-1)^{N+j+1} j! a_j for j < N, with a_j
+    the coefficients of prod_l (y + n_l) over y^{(j)} = y(y+1)...(y+j-1), all >= 0:
+    y^{(k)} (y + n) = y^{(k+1)} + (n-k) y^{(k)}, and in increasing n_l, k <= l <= n_l.
+    So R(y) = (1+y)^{2N} N! P(1/(1+y)) = 2 N! (1+y)^N - N! y^N - y^N sum_{j<N} j! a_j (2+y)^{N-j}
+    is positive below y^N and non-positive above, its top coefficient negative
+    unless all a_{j<N} = 0 (minimal nodes): one sign change, and y > 0 is 0 < t < 1.
     """
     N = len(nodes)
     f, g = math.factorial(N), []

@@ -9,7 +9,10 @@ minimal nodes {0..N-1}, so that the tests can hold the package to it:
   in Fractions rather than the package's integers, and the closed forms of det(a), the
   last-row cofactors and the numerator and denominator of p;
 - the secular polynomial from its binomial sums, the route the package's
-  difference table and Horner passes replace;
+  difference table and Horner passes replace, and the pieces of the proof that
+  a non-minimal set has exactly one gate in 0 < T < 1: its z_j by a
+  difference table, the rising-factorial coefficients a_j of prod_l (y + n_l)
+  and P's image R(y) under T = 1/(1+y) written with them;
 - the gate weights u = C'^{-1} y by the sum over all N points 0..N-1, which
   the package cuts to the node itself and the gaps of {0..N-1};
 - the bisection of an isolated root with an exact sign at every midpoint,
@@ -177,6 +180,44 @@ def secular_polynomial_reference(nodes: NodeSet) -> list:
     tail = _polymul(_polymul(zsum, t_minus_1), [1, 1])
     head = [0] * N + [math.factorial(N) * (2 * (i == 0) - math.comb(N, i) * (-1) ** i) for i in range(N + 1)]
     return [h + c for h, c in zip(head, tail)]
+
+
+def secular_z_reference(nodes: NodeSet) -> list:
+    """z_0..z_{N-1} of `nssgate.gate_solver.secular_polynomial`, N! Delta^j q(0),
+    one row of a difference table at a time: C(x, N) has no difference of order
+    j < N at 0, so z_j = -Delta^j F(0) with F(x) = prod_l (x - n_l)."""
+    row = [-math.prod(i - n for n in nodes) for i in range(len(nodes))]
+    z = []
+    while row:
+        z.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return z
+
+
+def rising_coefficients(nodes: NodeSet) -> list:
+    """a_0..a_N with prod_l (y + n_l) = sum_j a_j y(y+1)...(y+j-1), one factor
+    at a time in increasing n_l: y^{(k)} (y + n) = y^{(k+1)} + (n - k) y^{(k)}."""
+    a = [1]
+    for n in nodes:
+        out = [0] * (len(a) + 1)
+        for k, c in enumerate(a):
+            out[k] += (n - k) * c
+            out[k + 1] += c
+        a = out
+    return a
+
+
+def shifted_secular_reference(N: int, a: list) -> list:
+    """R(y) = (1+y)^{2N} N! P(1/(1+y)), lowest power first, from the rising
+    coefficients a of the node set (`rising_coefficients`):
+    R = 2 N! (1+y)^N - N! y^N - y^N sum_{j<N} j! a_j (2+y)^{N-j}."""
+    f, tail = math.factorial(N), [0]
+    for j in range(N):  # Horner in u = 2 + y: tail <- (tail + j! a_j) u
+        tail[0] += math.factorial(j) * a[j]
+        tail = [2 * x + y for x, y in zip(tail + [0], [0] + tail)]
+    R = [2 * f * math.comb(N, i) for i in range(N + 1)] + [0] * N
+    R[N] -= f
+    return R[:N] + [r - c for r, c in zip(R[N:], tail)]
 
 
 def bisect_root_reference(coeffs: list, lo: float, hi: float, slo: int) -> float:

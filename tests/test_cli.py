@@ -40,23 +40,22 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 7
-        assert "version" in doc and "tolerances" in doc
-        assert "seed" not in doc  # solve draws no random numbers
+        # each value once: no seed (solve draws no random numbers), no gammas (|alphas|)
+        assert set(doc) == {"schema", "version", "command", "tolerances", "entries", "solution"}
+        assert doc["schema"] == 8
         sol = doc["solution"]
+        assert set(sol) == {"T_re", "T_im", "p", "N", "nodes", "alphas"}
         assert sol["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-10)
         assert sol["p"] == pytest.approx(0.25, abs=1e-8)
-        assert len(sol["alphas"]) == 2 and len(sol["gammas"]) == 2
+        assert len(sol["alphas"]) == 2 and all(type(a) is float for a in sol["alphas"])
 
     def test_n2_lists_only_the_gate(self, capsys):
         # T = +-1 are roots of det(a) for N >= 2 only through det(a2); they are not gates
         code, out, _ = run(capsys, "solve", "--n", "2")
         assert code == 0
-        scan = json.loads(out)["scan"]
-        (entry,) = scan["entries"]
+        (entry,) = json.loads(out)["entries"]
         assert entry["T_re"] == pytest.approx(1 - math.sqrt(2), abs=1e-12)
         assert entry["p"] == pytest.approx(0.25, abs=1e-12)
-        assert scan["skipped"] == []
 
     def test_gapped_nodes_gate_passes_fock_oracle(self, capsys):
         code, out, _ = run(capsys, "solve", "--nodes", "0,4,6,7,8,9,12,14,16")
@@ -67,8 +66,8 @@ class TestSolve:
             N=s["N"],
             T=s["T_re"],
             nodes=NodeSet(tuple(s["nodes"])),
-            alphas=tuple(re for re, _ in s["alphas"]),
-            gammas=tuple(s["gammas"]),
+            alphas=tuple(s["alphas"]),
+            gammas=tuple(map(abs, s["alphas"])),
             p=s["p"],
         )
         rng = random.Random(9)
@@ -158,20 +157,19 @@ class TestSolve:
         assert err == ""
         sol = json.loads(out)["solution"]
         assert sol["p"] == pytest.approx(1.0250946808188e-10, rel=1e-14, abs=0)
-        assert sum(g * g for g in sol["gammas"]) == pytest.approx(1.0, abs=1e-12)
+        assert sum(a * a for a in sol["alphas"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_best_gate_ranked_past_the_float_range(self, capsys):
-        # both roots' p underflow to 0.0 as floats; the best gate, in scan.best and in
-        # solution, is the root of larger 34-digit p, at T > 0 (test_optimizer ranks the same)
+        # both roots' p underflow to 0.0 as floats; the best gate, in solution, is the
+        # root of larger 34-digit p, at T > 0 (test_optimizer ranks the same)
         nodes = sorted(random.Random(2).sample(range(495), 450))
         code, out, _ = run(capsys, "solve", "--nodes", ",".join(map(str, nodes)))
         assert code == 0
         doc = json.loads(out)
-        entries = doc["scan"]["entries"]
+        entries = doc["entries"]
         assert [e["p"] for e in entries] == [0.0, 0.0]
         assert entries[0]["T_re"] < 0 < entries[1]["T_re"]
-        assert doc["scan"]["best"] == entries[1]
-        assert doc["solution"]["T_re"] == entries[1]["T_re"] and doc["solution"]["p"] == 0.0
+        assert {k: doc["solution"][k] for k in entries[1]} == entries[1]
 
     @pytest.mark.parametrize("nodes", [f"0,{10**320}", f"0,1,{10**200}"], ids=["n2", "n3"])
     def test_photon_numbers_beyond_float_range_exit_1(self, capsys, nodes):
@@ -295,13 +293,11 @@ def test_envelope_holds_each_setting_once(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 7
+    assert doc["schema"] == 8
     assert "seed" not in doc
     counts = _key_counts(doc, {})
     assert {k: counts.get(k, 0) for k in SEARCH_SETTINGS} == {k: 1 for k in SEARCH_SETTINGS}
-    assert "config" not in doc and "search" not in doc
-    if "scan" in doc:
-        assert "search" not in doc["scan"]
+    assert counts.get("search", 0) == counts.get("config", 0) == 0
 
 
 class TestSweep:
@@ -600,19 +596,19 @@ class TestIdentities:
 # the identity residuals when the closed forms' arithmetic does (a version or
 # schema change alters the JSON ones too)
 PINNED_OUTPUTS = {
-    "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "09272c513f10862a0f05cb87fa4bb111b22c7dc257961884f6f3dac5a99e264d"),
-    "solve_300": (("solve", "--n", "300"), "fa03930918df273c83e6323e5e6c92b5690ae56a7cc66bd96dba8716b1f63898"),
-    "solve_2..61": (("solve", "--nodes", ",".join(map(str, range(2, 62)))), "84d8e643fd19b675f1d2ce9033d3307bbb24109767542a2b6a825a2e35c43d32"),
-    "solve_wide_40": (("solve", "--nodes", ",".join(map(str, WIDE_40))), "b5554879a9a0d9fc3a934981c3c76fda6527e5b92622574f7d482f621e210f77"),
+    "sweep_1_100": (("sweep", "--n-min", "1", "--n-max", "100"), "f02caf263016576caf259c245b93d194ac06a57dd1a218d5f40b83c822363982"),
+    "solve_300": (("solve", "--n", "300"), "25885e2c9ce7c381df0e23e7368d7d9a19a1d67279028aac01fe8f9400483613"),
+    "solve_2..61": (("solve", "--nodes", ",".join(map(str, range(2, 62)))), "849615487c0c0f67d2d1ba3a738220abdd1bfbaa392ee9c19fe888f1e2803ec1"),
+    "solve_wide_40": (("solve", "--nodes", ",".join(map(str, WIDE_40))), "0002a22cac8b9c85ea30efc3ebd33e43c78cf62e5d31bd58e1a12b97e5c97505"),
     # three roots, on both sides of T = 0 and two of them 0.002 apart
-    "solve_2_5,6": (("solve", "--nodes", "5,6"), "b37a99be5123ac8c68db7e0fb5b9c44f0fdc8e34e2d42a9d77fb25f796182378"),
+    "solve_2_5,6": (("solve", "--nodes", "5,6"), "b285fa3b7a06f3c21c6b9d9a706058480dfafde0b324365f9084c8f373935de1"),
     "solve_14_csv": (("solve", "--n", "14", "--format", "csv"), "c1069dbd4c574802e0f248905cbcc3cd4fb5631972e0b9250772e39ea625c7d3"),
     "sweep_1_30_csv": (("sweep", "--n-min", "1", "--n-max", "30", "--format", "csv"), "27979d5f4ab51778c14763788b93e2ab68e693339b8bd431cdd11170903534ea"),
-    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "5ddb9e9de49f162a49ec9b1d4e9daa42756b0b50007796d87cbf55b8d08b4d5b"),
+    "identities_all_0": (("identities", "--suite", "all", "--seed", "0"), "b664f21c806ce56a620e08bda3313c9ad2b6e301e0764ae2fb68964a0651d59f"),
     # the worst case of every signal, read from lambda: no draw, so no seed
-    "verify_14": (("verify", "--n", "14"), "3ffd4787ca406d4cfec4b50b2d502ea7cc1bfa8cfa5d6f964641f534b4ead6a0"),
+    "verify_14": (("verify", "--n", "14"), "65aa9cbd9b5d2a670b417b2171f208dc0f53a63ef20afe93e7696408672b7975"),
     # a coefficient matrix of 100 spoly_column columns, each k = 0..100
-    "verify_100": (("verify", "--n", "100"), "8ec0f5de1b2b1c42560bdf38b7780c0cd33d60a0cd70b5120bfd11dac63dcc2b"),
+    "verify_100": (("verify", "--n", "100"), "d2753d707f2d849b67888cacb7a0b1e7f0af67bebe7b2cb0ccdba546ebaede42"),
 }
 
 

@@ -93,6 +93,12 @@ class TestDenseDet:
         with pytest.raises(ValueError):
             dense_det([[0.0] * 3] * 2)
 
+    def test_rejects_1d_input(self):
+        # a row that is a number is not iterable: the TypeError of list() becomes this ValueError
+        with pytest.raises(ValueError) as exc:
+            dense_det([1.0, 2.0])
+        assert str(exc.value) == "matrix must be square"
+
     def test_rejects_complex(self):
         with pytest.raises(ValueError, match="real matrix"):
             dense_det([[1j, 0], [0, 2.0]])

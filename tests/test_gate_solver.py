@@ -35,7 +35,10 @@ from reference import (
     jacobi,
     matrix_sum,
     numerator_closed_form,
+    rising_coefficients,
     secular_polynomial_reference,
+    secular_z_reference,
+    shifted_secular_reference,
     sign_flipped,
     weights_reference,
 )
@@ -416,10 +419,31 @@ class TestSecularPolynomial:
             assert best.T == pytest.approx(-t, rel=1e-13, abs=0), m
             assert best.p == pytest.approx((t**m * (1 + t) / 2) ** 2, rel=1e-13, abs=0), m
 
+    @staticmethod
+    def _assert_one_gate_in_unit_interval(nodes, z, a, roots):
+        """The theorem of `secular_polynomial` on the set's exact z_j and rising coefficients a_j:
+        (-1)^{N+j} z_j = -j! a_j <= 0 for j < N, and R(y) = (1+y)^{2N} N! P(1/(1+y)), the package's
+        P under T = 1/(1+y), is the reference's R of a, positive below y^N and non-positive above,
+        its top coefficient negative unless the set is minimal; so the roots in (0, 1) number 1, or
+        0 on the minimal set."""
+        N = len(nodes)
+        signed = [(-1) ** (N + j) * zj for j, zj in enumerate(z)]
+        assert all(s <= 0 for s in signed), nodes
+        assert signed == [-math.factorial(j) * a[j] for j in range(N)], nodes
+        R = gate_solver._shift(secular_polynomial(NodeSet(nodes))[::-1])
+        assert R == shifted_secular_reference(N, a), nodes
+        assert all(c > 0 for c in R[:N]) and all(c <= 0 for c in R[N + 1 :]), nodes
+        minimal = nodes == tuple(range(N))
+        assert (next(c for c in reversed(R) if c) > 0) == minimal, nodes
+        if roots is not None:
+            assert sum(0 < t < 1 for t in roots) == (not minimal), nodes
+
     def test_every_node_set_has_a_gate(self):
         # with m the length of the set's initial run 0..m-1 and m < N, N! P has its
         # lowest power at t^m with coefficient -|prod_l (m - n_l)| < 0, while
-        # N! P(1) = 2 N! > 0, so P has a root in (0, 1); the minimal set's is 1 - 2^{1/N}
+        # N! P(1) = 2 N! > 0, so P has a root in (0, 1); the minimal set's is 1 - 2^{1/N}.
+        # Exactly one, by R's one sign change; the root search runs on the seeded sets
+        # below N = 60 only (those above take some 5 s)
         rng = random.Random(SEED)
         sets = [s for N in range(1, 8) for s in itertools.combinations(range(N + 6), N)]
         for _ in range(200):
@@ -433,6 +457,23 @@ class TestSecularPolynomial:
             if m < N:
                 assert not any(coeffs[:m]), nodes
                 assert coeffs[m] == -abs(math.prod(m - n for n in nodes)), nodes
+            roots = find_transmission(NodeSet(nodes)) if N < 60 or m == N else None
+            self._assert_one_gate_in_unit_interval(nodes, secular_z_reference(nodes), rising_coefficients(nodes), roots)
+
+    @pytest.mark.parametrize("planted", ["z", "a"])
+    def test_planted_theorem_error_fails(self, planted):
+        # one z_j with its sign flipped, or one a_j negated, fails the check at every j where it is not 0
+        nodes = (0, 2, 3, 7, 8)
+        z, a = secular_z_reference(nodes), rising_coefficients(nodes)
+        self._assert_one_gate_in_unit_interval(nodes, z, a, find_transmission(NodeSet(nodes)))
+        values = z if planted == "z" else a
+        where = [j for j in range(len(nodes)) if values[j]]
+        assert len(where) >= 3
+        for j in where:
+            values[j] = -values[j]
+            with pytest.raises(AssertionError):
+                self._assert_one_gate_in_unit_interval(nodes, z, a, None)
+            values[j] = -values[j]
 
     def test_scan_always_has_a_best_gate(self):
         # every N = 1..5 set in 0..N+3: a non-minimal set has a root in (0, 1)
@@ -615,6 +656,10 @@ class TestCertifiedRefinement:
     the bisection replays the exact-sign brackets, so the roots are those of
     an exact sign at every midpoint, bit for bit."""
 
+    def test_float_root_stops_where_the_derivative_vanishes(self):
+        # f = 1 + x^2 has f'(0) = 0.0 at the midpoint of (-1, 1): no Newton step, the midpoint returned
+        assert gate_solver._float_root([1.0, 0.0, 1.0], -1.0, 1.0) == 0.0
+
     def test_roots_equal_the_exact_bisection(self, monkeypatch):
         sets = [s for N in range(1, 9) for s in itertools.combinations(range(N + 4), N)]
         sets += [tuple(range(N)) for N in range(1, 61)] + list(WIDE_SETS)
@@ -704,6 +749,17 @@ class TestCofactors:
     def test_rejects_complex_matrix(self):
         with pytest.raises(ValueError):
             cofactors([[1j, 0], [0, 2.0]], 0)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_rejects_row_out_of_range(self, row):
+        with pytest.raises(ValueError) as exc:
+            cofactors([[1.0, 0.0], [0.0, 1.0]], row)
+        assert str(exc.value) == "row out of range"
+
+    def test_rejects_1d_input(self):
+        with pytest.raises(ValueError) as exc:
+            cofactors([1.0, 2.0], 0)
+        assert str(exc.value) == "matrix must be square"
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
     def test_rejects_non_finite_entries(self, bad):

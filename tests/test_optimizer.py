@@ -45,7 +45,7 @@ def test_scan_lists_no_unit_transmission(nodes):
     report = scan_nodes(NodeSet(nodes))
     assert report.entries
     assert all(abs(e.solution.T) < 1.0 for e in report.entries)
-    assert all(abs(t) < 1.0 for t, _ in report.skipped)
+    assert report.skipped == ()  # a constant; perfbench's trace hook counts it
 
 
 def test_scan_determinism():

@@ -261,6 +261,28 @@ def test_symmetric_s_rejects_p_out_of_range(p):
         symmetric_s(0.5, p, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "p, j, N, message",
+    [(0, 0, 0, "N must be positive"), (0, 0, -1, "N must be positive"), (1, -1, 3, "need 0 <= j <= N"), (1, 4, 3, "need 0 <= j <= N")],
+    ids=["N0", "N-1", "j-1", "j4"],
+)
+def test_symmetric_s_rejects_N_and_j_out_of_range(p, j, N, message):
+    with pytest.raises(ValueError) as exc:
+        symmetric_s(0.5, p, j, N)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "q, j, message",
+    [(-1, 0, "need 0 <= q <= N"), (4, 0, "need 0 <= q <= N"), (0, -1, "need 0 <= j <= N"), (0, 4, "need 0 <= j <= N")],
+    ids=["q-1", "q4", "j-1", "j4"],
+)
+def test_oneq_coefficient_rejects_q_and_j_out_of_range(q, j, message):
+    with pytest.raises(ValueError) as exc:
+        oneq_coefficient(1, 2, q, j, 3)
+    assert str(exc.value) == message
+
+
 def test_symmetric_s_follows_the_type_of_x():
     # a float x gives the bits of the float formula, C(p,j) rounded to a
     # float first and 0.0 (never -0.0) where C(p,j) = 0; a Fraction x the
